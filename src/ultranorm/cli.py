@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -168,8 +167,7 @@ def _cmd_counterexample(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     result = oracle.enumerate_isometries(
-        args.q, args.n, args.norm, centred=args.centred,
-        cap=args.cap, jobs=args.jobs)
+        args.q, args.n, args.norm, centred=args.centred, cap=args.cap)
     return result.to_json_dict(timing=args.timing)
 
 
@@ -263,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--norm", default=NormSpec.one(), **norm_kw)
     cmd.add_argument("--centred", action="store_true", help="only maps fixing 0")
     cmd.add_argument("--cap", type=int, default=None, help="max points (default 9)")
-    cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for the search")
     cmd.add_argument("--timing", action="store_true", help="include wall-clock duration")
 
     cmd = add("check-betweenness", _cmd_check_betweenness,

@@ -99,13 +99,15 @@ class FieldSpec:
     # -- element construction -------------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string or Scalar into this field."""
+        """Coerce an int, Fraction, string or Scalar (never a float) into this field."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value
         if isinstance(value, str):
             return self._parse_scalar(value)
+        if isinstance(value, float):
+            raise ParseError(f"binary float {value!r} is not an exact scalar of {self}")
         if self.kind == GF:
             if isinstance(value, Fraction):
                 if value.denominator != 1:

@@ -12,7 +12,6 @@ enumerations, never assumed by them.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import factorial
 
@@ -110,46 +109,9 @@ def _search(points, dist, images, used, start, counter):
             images.pop()
 
 
-def _space_and_distances(q: int, n: int, spec: NormSpec):
-    field = FieldSpec.gf(q)
-    points = enumerate_space(field, n)
-    dist = [[distance(x, y, spec) for y in points] for x in points]
-    return points, dist
-
-
-def _enumerate_branch(q: int, n: int, norm_text: str, centred: bool,
-                      branch: int | None) -> tuple[int, list[tuple[int, ...]]]:
-    """One root branch of the search; `branch` fixes the first free image.
-
-    Standalone and picklable so branches can run in worker processes.
-    """
-    spec = NormSpec.parse(norm_text)
-    points, dist = _space_and_distances(q, n, spec)
-    n_points = len(points)
-    images: list[int] = []
-    used = [False] * n_points
-    counter = [0]
-    if centred:
-        # lexicographic order puts the origin first; pin it
-        images.append(0)
-        used[0] = True
-    if branch is not None:
-        depth = len(images)
-        if used[branch]:
-            return 0, []
-        counter[0] += 1
-        row, cand_row = dist[depth], dist[branch]
-        if not all(row[j] == cand_row[images[j]] for j in range(depth)):
-            return counter[0], []
-        images.append(branch)
-        used[branch] = True
-    found = list(_search(points, dist, images, used, len(images), counter))
-    return counter[0], found
-
-
 def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
-                         centred: bool = False, cap: int | None = None,
-                         jobs: int = 1) -> EnumerationResult:
+                         centred: bool = False,
+                         cap: int | None = None) -> EnumerationResult:
     """Find every distance-preserving bijection of (F_q^n, spec) by search.
 
     Incremental pruning rejects a partial assignment at its first violated
@@ -160,28 +122,26 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     if spec is None:
         spec = NormSpec.one()
     limit = enum_cap(cap, default=DEFAULT_SPACE_CAP)
-    n_points = FieldSpec.gf(q).prime ** n
+    field = FieldSpec.gf(q)
+    n_points = field.prime ** n
     if n_points > limit:
         raise EnumerationTooLargeError(n_points, limit, f"F_{q}^{n}")
 
     t0 = time.perf_counter()
-    branch_values = list(range(n_points))
-    if jobs > 1 and n_points > 1:
-        args = [(q, n, str(spec), centred, b) for b in branch_values]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_enumerate_branch_star, args))
-    else:
-        parts = [_enumerate_branch(q, n, str(spec), centred, b) for b in branch_values]
+    points = enumerate_space(field, n)
+    dist = [[distance(x, y, spec) for y in points] for x in points]
+    images: list[int] = []
+    used = [False] * n_points
+    if centred:
+        # lexicographic order puts the origin first; pin it
+        images.append(0)
+        used[0] = True
+    counter = [0]
+    perms = list(_search(points, dist, images, used, len(images), counter))
 
-    attempts = sum(p[0] for p in parts)
-    perms: list[tuple[int, ...]] = []
-    for _, found in parts:
-        perms.extend(found)
-
-    points, _ = _space_and_distances(q, n, spec)
     result = EnumerationResult(
         q=q, n=n, norm=spec, centred=centred, points=tuple(points),
-        isometries=tuple(perms), attempts=attempts, axial=0)
+        isometries=tuple(perms), attempts=counter[0], axial=0)
     for perm in perms:
         try:
             decompose(result.probe_map(perm))
@@ -190,10 +150,6 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
             result.non_axial_witnesses.append({"map": list(perm), "reason": str(exc)})
     result.duration = time.perf_counter() - t0
     return result
-
-
-def _enumerate_branch_star(args):
-    return _enumerate_branch(*args)
 
 
 @dataclass

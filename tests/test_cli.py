@@ -71,14 +71,14 @@ def test_minimize_subcommand(capsys):
 
 def test_enumerate_subcommand(capsys):
     code, payload = run_json(capsys, "enumerate", "--q", "2", "--n", "2",
-                             "--norm", "one", "--jobs", "1")
+                             "--norm", "one")
     assert code == 0
     for key, value in {"isometries": 8, "axial": 8, "formula": 8,
                        "match": True}.items():
         assert payload[key] == value
     assert "duration_s" not in payload  # timing only on request
     code, payload = run_json(capsys, "enumerate", "--q", "2", "--n", "2",
-                             "--jobs", "1", "--timing")
+                             "--timing")
     assert code == 0 and "duration_s" in payload
 
 

@@ -98,6 +98,12 @@ def test_scalar_coercion_from_strings():
         F5.scalar("1/2")  # no slash notation in a prime field
 
 
+def test_scalar_rejects_binary_floats():
+    for field, value in ((Q3, 0.1), (F5, 2.5), (F5, 2.0)):
+        with pytest.raises(ParseError, match=repr(value)):
+            field.scalar(value)
+
+
 def test_gf_elements():
     assert [s.value for s in F5.elements()] == [0, 1, 2, 3, 4]
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,13 +90,24 @@ def test_found_set_equals_generated_axial_set():
     assert set(result.isometries) == generated
 
 
-def test_enumeration_deterministic_and_parallel_agree():
-    serial = enumerate_isometries(3, 2)
+def test_enumeration_deterministic_with_pinned_attempts():
+    first = enumerate_isometries(3, 2)
     again = enumerate_isometries(3, 2)
-    assert serial.isometries == again.isometries
-    parallel = enumerate_isometries(3, 2, jobs=2)
-    assert parallel.isometries == serial.isometries
-    assert parallel.attempts == serial.attempts
+    assert first.isometries == again.isometries
+    # search-node counts of the depth-first search in point order
+    for (q, n, spec, centred), attempts in {
+            (3, 2, ONE, False): 1629, (3, 2, ONE, True): 180,
+            (2, 3, ONE, False): 928, (2, 3, ONE, True): 115,
+            (2, 2, SUP, False): 64}.items():
+        assert enumerate_isometries(q, n, spec, centred=centred).attempts == attempts
+
+
+def test_import_does_not_load_process_pool():
+    code = "import sys, ultranorm; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_space_cap_guard():
