@@ -24,6 +24,7 @@ from .errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
     HypothesisError,
+    InvalidInputError,
     ParseError,
     UltranormError,
     UnderdeterminedError,
@@ -79,6 +80,7 @@ __all__ = [
     "FieldMismatchError",
     "FieldSpec",
     "HypothesisError",
+    "InvalidInputError",
     "IsometryReport",
     "Magnitude",
     "NormSpec",

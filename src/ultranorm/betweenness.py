@@ -13,30 +13,15 @@ trivially and are reported as between; callers need no case analysis.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, EnumerationTooLargeError
+from .errors import DimensionMismatchError, EnumerationTooLargeError, InvalidInputError
 from .fields import Magnitude
 from .spaces import NormSpec, Vector, distance
 
 _ONE = NormSpec.one()
 
 DEFAULT_ENUM_CAP = 2 ** 16
-_ENUM_CAP_ENV = "ULTRANORM_MAX_ENUM"
-
-
-def enum_cap(explicit: int | None = None, default: int = DEFAULT_ENUM_CAP) -> int:
-    """Effective enumeration cap: explicit value, else env override, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(_ENUM_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"bad {_ENUM_CAP_ENV} value {env!r}") from None
-    return default
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
@@ -81,13 +66,12 @@ def segment(x: Vector, y: Vector, cap: int | None = None) -> SegmentEnumeration:
     """Enumerate the metric segment between x and y under the taxicab norm.
 
     Raises EnumerationTooLargeError when 2**k would exceed the cap (default
-    2**16, overridable via the ULTRANORM_MAX_ENUM environment variable).
+    2**16).
     """
     positions = differing_positions(x, y)
     k = len(positions)
-    limit = enum_cap(cap)
-    if 2 ** k > limit:
-        raise EnumerationTooLargeError(2 ** k, limit, f"k={k} differing coordinates")
+    EnumerationTooLargeError.check(2, k, DEFAULT_ENUM_CAP if cap is None else cap,
+                                   f"k={k} differing coordinates")
     points = []
     for counter in range(2 ** k):
         coords = list(x.coords)
@@ -122,7 +106,7 @@ def uniqueness_check(
         raise DimensionMismatchError("uniqueness check is for dimension 2")
     total = distance(c, a, _ONE)
     if d1 + d2 != total:
-        raise ValueError(f"d1 + d2 = {d1 + d2} != ||c - a||_1 = {total}")
+        raise InvalidInputError(f"d1 + d2 = {d1 + d2} != ||c - a||_1 = {total}")
     return [
         b
         for b in segment(a, c, cap).points

@@ -3,7 +3,9 @@
 Output is compact JSON by default (machine-readable, byte-deterministic for
 identical inputs) or an indented text rendering with --format text, where
 exact rationals gain a decimal approximation for display.  Exit codes:
-0 success, 1 domain error (structured error JSON on stdout), 2 usage error.
+0 success, 1 domain error (structured error JSON on stdout), 2 usage error,
+3 internal error: a bug, reported as {"error": {"type": "internal", ...}} on
+stdout with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -14,42 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
-from .errors import (
-    DecompositionError,
-    DimensionMismatchError,
-    EnumerationTooLargeError,
-    FieldMismatchError,
-    HypothesisError,
-    ParseError,
-    UltranormError,
-    UnderdeterminedError,
-)
+from .errors import ParseError, UltranormError
 from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
-
-
-def _error_payload(exc: Exception) -> dict:
-    kind = {
-        ParseError: "parse",
-        FieldMismatchError: "field-mismatch",
-        DimensionMismatchError: "dimension-mismatch",
-        EnumerationTooLargeError: "enumeration-too-large",
-        DecompositionError: "decomposition-failure",
-        UnderdeterminedError: "under-determined",
-        HypothesisError: "hypothesis",
-        ZeroDivisionError: "division-by-zero",
-    }.get(type(exc), "invalid-input")
-    payload = {"type": kind, "message": str(exc)}
-    if isinstance(exc, EnumerationTooLargeError):
-        payload["size"] = exc.size
-        payload["cap"] = exc.cap
-    if isinstance(exc, DecompositionError) and exc.witness is not None:
-        point, image = exc.witness
-        payload["witness"] = {"point": str(point), "image": str(image)}
-    if isinstance(exc, UnderdeterminedError):
-        payload["axis"] = exc.axis
-    return {"error": payload}
 
 
 def _approx(text: str) -> str:
@@ -289,11 +259,17 @@ def main(argv=None) -> int:
             args.field = FieldSpec.parse(args.field)
         if isinstance(getattr(args, "norm", None), str):
             args.norm = NormSpec.parse(args.norm)
-        payload = args.handler(args)
-    except (UltranormError, ValueError, ZeroDivisionError, KeyError) as exc:
-        _emit(_error_payload(exc), args.format)
+        _emit(args.handler(args), args.format)
+    except UltranormError as exc:
+        _emit({"error": exc.to_json_dict()}, args.format)
         return 1
-    _emit(payload, args.format)
+    except Exception as exc:
+        import traceback  # here, not at the top: it would slow every start
+
+        traceback.print_exc()
+        _emit({"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}},
+              args.format)
+        return 3
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ParseError
+from .errors import FieldMismatchError, InvalidInputError, ParseError
 
 # Norm/valuation values: exact nonnegative rationals, closed under + and max.
 Magnitude = Fraction
@@ -54,13 +54,13 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise InvalidInputError(f"unknown field kind {self.kind!r}")
         if self.kind == TRIVIAL:
             if self.prime is not None:
-                raise ValueError("trivial-valuation rationals take no modulus")
+                raise InvalidInputError("trivial-valuation rationals take no modulus")
         else:
             if self.prime is None or not is_prime(self.prime):
-                raise ValueError(f"{self.kind} modulus must be prime, got {self.prime}")
+                raise InvalidInputError(f"{self.kind} modulus must be prime, got {self.prime}")
 
     @classmethod
     def padic(cls, p: int) -> "FieldSpec":
@@ -77,6 +77,8 @@ class FieldSpec:
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Parse the textual forms "padic:3", "gf:5", "trivial:q"."""
+        if not isinstance(text, str):
+            raise ParseError(f"field tag must be a string, got {text!r}")
         head, sep, tail = text.strip().partition(":")
         if head == TRIVIAL and (not sep or tail == "q"):
             return cls.trivial()
@@ -87,7 +89,7 @@ class FieldSpec:
                 raise ParseError(f"bad field modulus {tail!r} in {text!r}") from None
             try:
                 return cls(head, modulus)
-            except ValueError as exc:
+            except InvalidInputError as exc:
                 raise ParseError(str(exc)) from None
         raise ParseError(f"bad field tag {text!r} (expected padic:p, gf:q or trivial:q)")
 
@@ -139,7 +141,7 @@ class FieldSpec:
     def elements(self):
         """All field elements, finite fields only."""
         if self.kind != GF:
-            raise ValueError(f"{self} is infinite")
+            raise InvalidInputError(f"{self} is infinite")
         return [Scalar(self, r) for r in range(self.prime)]
 
 

@@ -15,7 +15,7 @@ everything else fixed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import (
@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     HypothesisError,
+    InvalidInputError,
     ParseError,
     UnderdeterminedError,
 )
@@ -41,7 +42,8 @@ class AffineMap:
         if self.u.field != self.c.field:
             raise FieldMismatchError("affine map coefficients from different fields")
         if valuation(self.u) != 1:
-            raise ValueError(f"affine slope must be a unit, |{self.u}| = {valuation(self.u)}")
+            raise InvalidInputError(
+                f"affine slope must be a unit, |{self.u}| = {valuation(self.u)}")
 
     @property
     def field(self) -> FieldSpec:
@@ -79,30 +81,30 @@ class TableMap:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("empty table")
+            raise InvalidInputError("empty table")
         fld = self.entries[0][0].field
         for a, b in self.entries:
             if a.field != fld or b.field != fld:
                 raise FieldMismatchError("table entries from different fields")
         inputs = [a for a, _ in self.entries]
         if len(set(inputs)) != len(inputs):
-            raise ValueError("duplicate table inputs")
+            raise InvalidInputError("duplicate table inputs")
         for (a, fa), (b, fb) in itertools.combinations(self.entries, 2):
             if fa == fb:
-                raise ValueError(f"table not injective: {a} and {b} both map to {fa}")
+                raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
             if valuation(a - b) != valuation(fa - fb):
-                raise ValueError(
+                raise InvalidInputError(
                     f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                     f"but |{fa}-{fb}|={valuation(fa - fb)}")
         if fld.kind == GF and len(self.entries) != fld.prime:
-            raise ValueError(
+            raise InvalidInputError(
                 f"finite-field table must be a bijection of all {fld.prime} residues")
 
     @classmethod
     def from_residues(cls, field: FieldSpec, images) -> "TableMap":
         """Finite-field form: images[r] is the image of residue r."""
         if field.kind != GF:
-            raise ValueError("residue tables are for finite fields")
+            raise InvalidInputError("residue tables are for finite fields")
         return cls(tuple(
             (Scalar(field, r), field.scalar(img)) for r, img in enumerate(images)))
 
@@ -197,7 +199,7 @@ class AxialIsometry:
             raise DimensionMismatchError(
                 f"sigma/taus/translation lengths {len(self.sigma)}/{len(self.taus)}/{n}")
         if sorted(self.sigma) != list(range(n)):
-            raise ValueError(f"sigma {self.sigma} is not a permutation of 0..{n - 1}")
+            raise InvalidInputError(f"sigma {self.sigma} is not a permutation of 0..{n - 1}")
         for tau in self.taus:
             if tau.field != self.translation.field:
                 raise FieldMismatchError("tau field differs from translation field")
@@ -287,9 +289,9 @@ class ProbeMap:
 
     def __post_init__(self):
         if not self.domain:
-            raise ValueError("empty probe map")
+            raise InvalidInputError("empty probe map")
         if len(self.domain) != len(self.images):
-            raise ValueError(
+            raise InvalidInputError(
                 f"{len(self.domain)} domain points vs {len(self.images)} images")
         fld, n = self.domain[0].field, self.domain[0].dim
         for v in itertools.chain(self.domain, self.images):
@@ -298,12 +300,12 @@ class ProbeMap:
             if v.dim != n:
                 raise DimensionMismatchError("probe map mixes dimensions")
         if len(set(self.domain)) != len(self.domain):
-            raise ValueError("duplicate probe points")
+            raise InvalidInputError("duplicate probe points")
         if self.complete:
             if fld.kind != GF:
-                raise ValueError("complete probe maps exist only over finite fields")
+                raise InvalidInputError("complete probe maps exist only over finite fields")
             if len(self.domain) != fld.prime ** n:
-                raise ValueError(
+                raise InvalidInputError(
                     f"complete flag on {len(self.domain)} of {fld.prime ** n} points")
 
     @classmethod
@@ -348,14 +350,20 @@ class ProbeMap:
     def from_json(cls, obj) -> "ProbeMap":
         try:
             field = FieldSpec.parse(obj["field"])
-            n = int(obj["n"])
-            pairs = obj["pairs"]
-            complete = bool(obj.get("complete", False))
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"bad probe map object (need field, n, pairs)") from None
+            n, pairs = obj["n"], obj["pairs"]
+            complete = obj.get("complete", False)
+        except (KeyError, TypeError):
+            raise ParseError("bad probe map object (need field, n, pairs)") from None
+        if type(n) is not int:
+            raise ParseError(f"probe map n must be an integer, got {n!r}")
+        if not isinstance(pairs, (list, tuple)):
+            raise ParseError(f"probe map pairs must be a list, got {pairs!r}")
+        if not isinstance(complete, bool):
+            raise ParseError(f"probe map complete must be true or false, got {complete!r}")
         domain, images = [], []
         for pair in pairs:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(v, (list, tuple)) for v in pair)):
                 raise ParseError(f"bad probe pair {pair!r}")
             x, y = pair
             domain.append(Vector.make(field, [str(c) for c in x]))
@@ -372,23 +380,19 @@ class IsometryReport:
     norm: str
     probes: int
     pairs_checked: int = 0
-    distance_violations: list = None
-    collisions: list = None
+    distance_violations: list = dc_field(default_factory=list)   # the first 10
+    collisions: list = dc_field(default_factory=list)            # the first 10
     surjective: bool | None = None
-
-    def __post_init__(self):
-        if self.distance_violations is None:
-            self.distance_violations = []
-        if self.collisions is None:
-            self.collisions = []
+    violation_count: int = 0
+    collision_count: int = 0
 
     @property
     def injective(self) -> bool:
-        return not self.collisions
+        return self.collision_count == 0
 
     @property
     def ok(self) -> bool:
-        return (not self.distance_violations and self.injective
+        return (self.violation_count == 0 and self.injective
                 and self.surjective is not False)
 
     def to_json_dict(self) -> dict:
@@ -410,14 +414,17 @@ class IsometryReport:
                 {"x": str(x), "y": str(y), "image": str(img)}
                 for x, y, img in self.collisions
             ],
+            "violation_count": self.violation_count,
+            "collision_count": self.collision_count,
         }
 
 
 def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     """Check distance preservation and injectivity over all probe pairs.
 
-    Violations are report content, never exceptions.  When the probe map is
-    complete, surjectivity onto the finite space is checked as well.
+    Violations are report content, never exceptions: all are counted, the
+    first 10 of each kind are kept.  When the probe map is complete,
+    surjectivity onto the finite space is checked as well.
     """
     report = IsometryReport(norm=str(spec), probes=len(m.domain))
     for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
@@ -425,9 +432,13 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
         d_img = distance(fx, fy, spec)
         report.pairs_checked += 1
         if d_dom != d_img:
-            report.distance_violations.append((x, y, d_dom, d_img))
+            report.violation_count += 1
+            if len(report.distance_violations) < 10:
+                report.distance_violations.append((x, y, d_dom, d_img))
         if fx == fy:
-            report.collisions.append((x, y, fx))
+            report.collision_count += 1
+            if len(report.collisions) < 10:
+                report.collisions.append((x, y, fx))
     if m.complete:
         report.surjective = set(m.images) == set(enumerate_space(m.field, m.dim))
     return report
@@ -468,7 +479,7 @@ def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
         affine = AffineMap(u, c)
         if all(affine.apply(a) == b for a, b in full):
             return affine
-    except ValueError:
+    except InvalidInputError:
         pass
     return TableMap(tuple(full))
 
@@ -487,7 +498,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     try:
         t = m.image_of(origin)
     except KeyError:
-        raise ValueError("probe domain must contain the origin") from None
+        raise InvalidInputError("probe domain must contain the origin") from None
 
     centred = {x: img - t for x, img in zip(m.domain, m.images)}
 
@@ -534,7 +545,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     for j in range(n):
         try:
             taus.append(_fit_tau(field, tau_data[j], axis=sigma[j]))
-        except ValueError as exc:
+        except InvalidInputError as exc:
             probe = axis_entries[sigma[j]][0][2]
             raise DecompositionError(
                 f"axis {sigma[j]} data fits no scalar isometry: {exc}",

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from math import factorial
 
-from .betweenness import coordinate_between, enum_cap, is_metrically_between
+from .betweenness import coordinate_between, is_metrically_between
 from .errors import EnumerationTooLargeError
 from .fields import FieldSpec
 from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decompose
@@ -117,21 +117,19 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     Incremental pruning rejects a partial assignment at its first violated
     pairwise distance.  Each found bijection is then classified through
     `decompose`: success means axial, failure is recorded with its witness.
-    Guarded by q**n <= cap (default 9; ULTRANORM_MAX_ENUM overrides).
+    Guarded by q**n <= cap (default 9).
     """
     if spec is None:
         spec = NormSpec.one()
-    limit = enum_cap(cap, default=DEFAULT_SPACE_CAP)
+    EnumerationTooLargeError.check(q, n, DEFAULT_SPACE_CAP if cap is None else cap,
+                                   f"F_{q}^{n}")
     field = FieldSpec.gf(q)
-    n_points = field.prime ** n
-    if n_points > limit:
-        raise EnumerationTooLargeError(n_points, limit, f"F_{q}^{n}")
 
     t0 = time.perf_counter()
     points = enumerate_space(field, n)
     dist = [[distance(x, y, spec) for y in points] for x in points]
     images: list[int] = []
-    used = [False] * n_points
+    used = [False] * len(points)
     if centred:
         # lexicographic order puts the origin first; pin it
         images.append(0)
@@ -191,12 +189,9 @@ def exhaustive_betweenness_check(q: int, n: int,
     The exhaustive run is itself the ground truth: the report counts
     disagreements (expected 0) over all q**(3n) triples.
     """
-    limit = enum_cap(cap, default=DEFAULT_TRIPLE_CAP)
-    field = FieldSpec.gf(q)
-    total = (field.prime ** n) ** 3
-    if total > limit:
-        raise EnumerationTooLargeError(total, limit, f"triples of F_{q}^{n}")
-    points = enumerate_space(field, n)
+    EnumerationTooLargeError.check(q, 3 * n, DEFAULT_TRIPLE_CAP if cap is None else cap,
+                                   f"triples of F_{q}^{n}")
+    points = enumerate_space(FieldSpec.gf(q), n)
     report = BetweennessReport(q=q, n=n)
     t0 = time.perf_counter()
     for x in points:
@@ -256,7 +251,8 @@ def group_closure_check(result: EnumerationResult) -> ClosureReport:
             inv[fi] = i
         if tuple(inv) not in perms:
             report.inverses_ok = False
-            report.missing.append({"inverse_of": list(f)})
+            if len(report.missing) < 10:
+                report.missing.append({"inverse_of": list(f)})
         for g in result.isometries:
             comp = tuple(f[g[i]] for i in range(n_points))
             report.compositions_checked += 1

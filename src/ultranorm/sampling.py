@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .errors import InvalidInputError
 from .fields import GF, PADIC, FieldSpec, Scalar
 from .isometry import AffineMap, AxialIsometry, ScalarIsometry, TableMap
 from .spaces import Vector
@@ -115,7 +116,7 @@ def probe_grid(field: FieldSpec, n: int, size: int) -> list[Vector]:
     field: the origin, then axis points (what `decompose` reads), then mixed
     points in widening shells."""
     if field.kind == GF:
-        raise ValueError("finite fields enumerate exactly; no grid needed")
+        raise InvalidInputError("finite fields enumerate exactly; no grid needed")
     ladder = _value_ladder(field)
     pool: list[Vector] = [Vector.zero(field, n)]
     seen = {pool[0]}
@@ -137,5 +138,5 @@ def probe_grid(field: FieldSpec, n: int, size: int) -> list[Vector]:
         if len(pool) >= size:
             break
     if len(pool) < size:
-        raise ValueError(f"grid over {field} maxes out at {len(pool)} < {size} points")
+        raise InvalidInputError(f"grid over {field} maxes out at {len(pool)} < {size} points")
     return pool[:size]

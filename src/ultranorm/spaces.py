@@ -13,7 +13,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, FieldMismatchError, ParseError
+from .errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    InvalidInputError,
+    ParseError,
+)
 from .fields import GF, AxiomReport, FieldSpec, Magnitude, Scalar, valuation
 
 ONE = "one"
@@ -30,7 +35,7 @@ class Vector:
 
     def __post_init__(self):
         if not self.coords:
-            raise ValueError("vectors have dimension >= 1")
+            raise InvalidInputError("vectors have dimension >= 1")
         for c in self.coords:
             if c.field != self.field:
                 raise FieldMismatchError(f"coordinate from {c.field} in {self.field} vector")
@@ -106,14 +111,14 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind not in (ONE, SUP, WSUP):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+            raise InvalidInputError(f"unknown norm kind {self.kind!r}")
         if self.kind == WSUP:
             if not self.weights:
-                raise ValueError("weighted sup norm needs weights")
+                raise InvalidInputError("weighted sup norm needs weights")
             if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must be strictly positive")
+                raise InvalidInputError("weights must be strictly positive")
         elif self.weights is not None:
-            raise ValueError(f"{self.kind} norm takes no weights")
+            raise InvalidInputError(f"{self.kind} norm takes no weights")
 
     @classmethod
     def one(cls) -> "NormSpec":
@@ -176,7 +181,9 @@ def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:
 def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
     """All q**n vectors of F_q^n in lexicographic coordinate order."""
     if field.kind != GF:
-        raise ValueError(f"cannot enumerate infinite space over {field}")
+        raise InvalidInputError(f"cannot enumerate infinite space over {field}")
+    if n < 1:
+        raise InvalidInputError(f"dimension n must be at least 1, got {n}")
     return [
         Vector(field, tuple(Scalar(field, r) for r in coords))
         for coords in itertools.product(range(field.prime), repeat=n)

@@ -128,18 +128,13 @@ def test_segment_matches_whole_space_filter():
         assert {tuple(c.value for c in p.coords) for p in got} == expected
 
 
-def test_segment_cap_and_env_override(monkeypatch):
+def test_segment_cap():
     x = Vector.zero(Q3, 20)
     y = Vector.make(Q3, [1] * 20)
     with pytest.raises(EnumerationTooLargeError) as err:
         segment(x, y, cap=2**10)
     assert err.value.size == 2**20 and err.value.cap == 2**10
     assert "k=20" in str(err.value)
-    monkeypatch.setenv("ULTRANORM_MAX_ENUM", "4")
-    with pytest.raises(EnumerationTooLargeError):
-        segment(_v(Q3, "1,0,1"), _v(Q3, "0,1,0"))
-    monkeypatch.setenv("ULTRANORM_MAX_ENUM", "16")
-    assert len(segment(_v(Q3, "1,0,1"), _v(Q3, "0,1,0")).points) == 8
 
 
 def test_minimize_spec_examples():

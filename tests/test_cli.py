@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
-from ultranorm import FieldSpec, ProbeMap
+import ultranorm
+from ultranorm import FieldSpec, ProbeMap, UltranormError
 from ultranorm.cli import main
 from ultranorm.sampling import probe_grid, random_axial_isometry
 
@@ -172,11 +174,73 @@ def test_usage_errors_exit_two(capsys):
     assert err.value.code == 2
 
 
-def test_env_cap_reaches_cli(capsys, monkeypatch):
+def test_environment_sets_no_cap(capsys, monkeypatch):
     monkeypatch.setenv("ULTRANORM_MAX_ENUM", "2")
     code, payload = run_json(capsys, "segment", "--field", "padic:3",
                              "--x", "1,0", "--y", "0,1")
-    assert code == 1 and payload["error"]["type"] == "enumeration-too-large"
+    assert code == 0 and payload["k"] == 2
+
+
+def test_error_kinds_are_distinct():
+    exported = [getattr(ultranorm, name) for name in ultranorm.__all__]
+    kinds = [obj.kind for obj in exported
+             if isinstance(obj, type) and issubclass(obj, UltranormError)]
+    assert len(kinds) == 9
+    assert len(set(kinds)) == len(kinds)
+    assert "internal" not in kinds
+
+
+def test_bug_exits_three_as_internal(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ultranorm.cli._cmd_norm", boom)
+    code = main(["norm", "--field", "padic:3", "--norm", "one", "--vec", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "error": {"type": "internal", "message": "RuntimeError: boom"}}
+    assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("argv, kind, named", [
+    (["enumerate", "--q", "2", "--n", "-1"], "invalid-input", "got -1"),
+    (["check-betweenness", "--q", "2", "--n", "0"], "invalid-input", "got 0"),
+    (["enumerate", "--q", "2", "--n", "300000000"], "enumeration-too-large",
+     "2^300000000"),
+    (["check-betweenness", "--q", "2", "--n", "20000"], "enumeration-too-large",
+     "2^60000"),
+    (["segment", "--field", "padic:3", "--x", ",".join(["0"] * 15000),
+      "--y", ",".join(["1"] * 15000)], "enumeration-too-large", "k=15000"),
+], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
+        "betweenness-n-huge", "segment-k-huge"])
+def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["error"]["type"] == kind
+    assert named in payload["error"]["message"]
+    if kind == "enumeration-too-large":
+        assert payload["error"]["size"] is None
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"pairs": None}, "None"),
+    ({"pairs": [[1, 2]]}, "[1, 2]"),
+    ({"pairs": [[["1"], 5]]}, "5"),
+    ({"complete": "false"}, "'false'"),
+    ({"n": 1.7}, "1.7"),
+], ids=["pairs-null", "pair-of-numbers", "image-a-number", "complete-a-string",
+        "n-a-float"])
+def test_malformed_probe_files_are_parse_errors(capsys, monkeypatch, change, named):
+    import io
+
+    probes = {"field": "padic:3", "n": 1, "pairs": [[["1"], ["2"]]], **change}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(probes)))
+    code, payload = run_json(capsys, "verify", "--norm", "one", "--probes", "-")
+    assert code == 1 and payload["error"]["type"] == "parse"
+    assert named in payload["error"]["message"]
 
 
 def test_text_format(capsys):

@@ -226,6 +226,20 @@ def test_verify_detects_distance_violation():
     assert payload["ok"] is False and payload["violations"]
 
 
+def test_verify_report_keeps_first_ten_and_counts_all():
+    points = probe_grid(Q3, 2, 12)
+    pm = ProbeMap.from_callable(lambda x: Vector.zero(Q3, 2), points)  # all collide
+    report = verify_isometry(pm, ONE)
+    assert report.pairs_checked == 66
+    assert report.violation_count == 66 and report.collision_count == 66
+    assert len(report.distance_violations) == 10 and len(report.collisions) == 10
+    assert not report.ok and not report.injective
+    payload = report.to_json_dict()
+    assert len(payload["violations"]) == 10 and len(payload["collisions"]) == 10
+    assert list(payload)[-2:] == ["violation_count", "collision_count"]
+    assert payload["violation_count"] == 66 and payload["collision_count"] == 66
+
+
 def test_verify_reports_non_surjective_complete_map():
     points = enumerate_space(F2, 1)
     pm = ProbeMap(tuple(points), (points[0], points[0]), complete=True)

@@ -119,10 +119,10 @@ def test_space_cap_guard():
     assert result.count == 8
 
 
-def test_enumeration_env_override(monkeypatch):
-    monkeypatch.setenv("ULTRANORM_MAX_ENUM", "3")
-    with pytest.raises(EnumerationTooLargeError):
-        enumerate_isometries(2, 2)
+def test_enumeration_explicit_cap():
+    with pytest.raises(EnumerationTooLargeError) as err:
+        enumerate_isometries(2, 2, cap=3)
+    assert err.value.size == 4 and err.value.cap == 3
 
 
 def test_betweenness_exhaustive_small():
@@ -175,6 +175,19 @@ def test_group_closure_detects_missing_elements():
     report = group_closure_check(result)
     assert not report.ok
     assert not report.has_identity
+
+
+def test_group_closure_keeps_first_ten_missing():
+    points = tuple(enumerate_space(FieldSpec.gf(5), 1))
+    # one of each pair of mutually inverse non-involutions: no inverse is present
+    perms = [p for p in itertools.permutations(range(5))
+             if p < tuple(sorted(range(5), key=p.__getitem__))]
+    result = EnumerationResult(
+        q=5, n=1, norm=ONE, centred=False, points=points,
+        isometries=tuple(perms), attempts=1, axial=1)
+    report = group_closure_check(result)
+    assert not report.inverses_ok
+    assert len(report.missing) == 10
 
 
 def test_result_json_shape():
