@@ -29,7 +29,10 @@ def _approx(text: str) -> str:
         return text
     if value.denominator == 1:
         return text
-    return f"{text} (~{float(value):.6g})"
+    try:
+        return f"{text} (~{float(value):.6g})"
+    except OverflowError:  # beyond float range: the exact value alone
+        return text
 
 
 def _render_text(obj, indent: int = 0) -> list[str]:
@@ -73,7 +76,7 @@ def _read_probes(source: str) -> ProbeMap:
             raise ParseError(f"cannot read probe file {source!r}: {exc}") from None
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"probe input is not JSON: {exc}") from None
     return ProbeMap.from_json(obj)
 
@@ -128,8 +131,7 @@ def _cmd_counterexample(args) -> dict:
     if args.probes:
         points = list(_read_probes(args.probes).domain)
     elif args.values:
-        values = [v.strip() for v in args.values.split(",")]
-        points = sampling.grid_from_values(args.field, e0.dim, values)
+        points = sampling.grid_from_values(args.field, e0.dim, args.values.split(","))
     else:
         raise ParseError("counterexample needs --probes or --values")
     return sphere_shift_map(e0, v0, points, args.norm).to_json_dict()

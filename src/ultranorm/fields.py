@@ -29,8 +29,12 @@ TRIVIAL = "trivial"
 _KINDS = (PADIC, GF, TRIVIAL)
 
 
+# Moduli are bounded so that trial division takes at most 2^16 steps.
+_MAX_MODULUS = 2 ** 32
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (the moduli here are desk-scale)."""
+    """Trial-division primality check (moduli are at most _MAX_MODULUS)."""
     if n < 2:
         return False
     d = 2
@@ -59,6 +63,9 @@ class FieldSpec:
             if self.prime is not None:
                 raise InvalidInputError("trivial-valuation rationals take no modulus")
         else:
+            if self.prime is not None and self.prime > _MAX_MODULUS:
+                raise InvalidInputError(
+                    f"{self.kind} modulus {self.prime} exceeds the bound 2^32")
             if self.prime is None or not is_prime(self.prime):
                 raise InvalidInputError(f"{self.kind} modulus must be prime, got {self.prime}")
 
@@ -101,34 +108,19 @@ class FieldSpec:
     # -- element construction -------------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string or Scalar (never a float) into this field."""
+        """Coerce a Scalar of this field, a string token, or a value Scalar accepts."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value
         if isinstance(value, str):
-            return self._parse_scalar(value)
-        if isinstance(value, float):
-            raise ParseError(f"binary float {value!r} is not an exact scalar of {self}")
-        if self.kind == GF:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ParseError(f"non-integer value {value} in {self}")
-                value = value.numerator
-            return Scalar(self, value % self.prime)
-        return Scalar(self, Fraction(value))
-
-    def _parse_scalar(self, text: str) -> "Scalar":
-        token = text.strip()
-        if self.kind == GF:
+            token = value.strip()
             try:
-                return Scalar(self, int(token) % self.prime)
-            except ValueError:
-                raise ParseError(f"bad residue {token!r} for {self}") from None
-        try:
-            return Scalar(self, Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {token!r} for {self}") from None
+                value = int(token) if self.kind == GF else Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                what = "residue" if self.kind == GF else "rational"
+                raise ParseError(f"bad {what} {token!r} for {self}") from None
+        return Scalar(self, value)
 
     @property
     def zero(self) -> "Scalar":
@@ -145,16 +137,33 @@ class FieldSpec:
         return [Scalar(self, r) for r in range(self.prime)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scalar:
     """An element of a FieldSpec's field.
 
     ``value`` is a Fraction in lowest terms for the rational fields and an
-    int residue in [0, q) for F_q.  Instances are immutable and hashable.
+    int residue in [0, q) for F_q.  The constructor normalises every value:
+    an int or a Fraction (over F_q an integral one) is converted or reduced,
+    any other type (float, bool, str, ...) is a ParseError.  Instances are
+    immutable and hashable.
     """
 
     field: FieldSpec
     value: Fraction | int
+
+    def __init__(self, field: FieldSpec, value):
+        kind = type(value)
+        if kind is int:
+            value = value % field.prime if field.kind == GF else Fraction(value)
+        elif kind is Fraction:
+            if field.kind == GF:
+                if value.denominator != 1:
+                    raise ParseError(f"non-integer value {value} in {field}")
+                value = value.numerator % field.prime
+        else:
+            raise ParseError(f"{kind.__name__} {value!r} is not an exact scalar of {field}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)
 
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
@@ -164,22 +173,17 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if self.field.kind == GF:
-            return Scalar(self.field, (self.value + other.value) % self.field.prime)
         return Scalar(self.field, self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        self._check(other)
+        return Scalar(self.field, self.value - other.value)
 
     def __neg__(self) -> "Scalar":
-        if self.field.kind == GF:
-            return Scalar(self.field, (-self.value) % self.field.prime)
         return Scalar(self.field, -self.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if self.field.kind == GF:
-            return Scalar(self.field, (self.value * other.value) % self.field.prime)
         return Scalar(self.field, self.value * other.value)
 
     def inverse(self) -> "Scalar":

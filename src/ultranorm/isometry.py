@@ -153,12 +153,20 @@ def scalar_isometry_from_json(field: FieldSpec, obj) -> ScalarIsometry:
     if not isinstance(obj, dict):
         raise ParseError(f"bad scalar isometry object {obj!r}")
     if "affine" in obj:
-        u, c = obj["affine"]
-        return AffineMap(field.scalar(str(u)), field.scalar(str(c)))
+        coeffs = obj["affine"]
+        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 2):
+            raise ParseError(f"affine map needs [u, c], got {coeffs!r}")
+        return AffineMap(field.scalar(coeffs[0]), field.scalar(coeffs[1]))
     if "table" in obj:
+        table = obj["table"]
+        if not isinstance(table, (list, tuple)):
+            raise ParseError(f"scalar isometry table must be a list, got {table!r}")
         if field.kind == GF:
-            return TableMap.from_residues(field, obj["table"])
-        return TableMap.from_pairs(field, [(str(a), str(b)) for a, b in obj["table"]])
+            return TableMap.from_residues(field, table)
+        for entry in table:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ParseError(f"table entry must be a pair [a, b], got {entry!r}")
+        return TableMap.from_pairs(field, table)
     raise ParseError(f"scalar isometry needs 'affine' or 'table', got {sorted(obj)}")
 
 
@@ -268,7 +276,7 @@ class AxialIsometry:
         try:
             field = FieldSpec.parse(obj["field"])
             sigma = tuple(int(s) for s in obj["sigma"])
-            translation = Vector.make(field, [str(c) for c in obj["translation"]])
+            translation = Vector.make(field, obj["translation"])
             taus = tuple(scalar_isometry_from_json(field, t) for t in obj["taus"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad axial isometry object: {exc}") from None
@@ -366,8 +374,8 @@ class ProbeMap:
                     and all(isinstance(v, (list, tuple)) for v in pair)):
                 raise ParseError(f"bad probe pair {pair!r}")
             x, y = pair
-            domain.append(Vector.make(field, [str(c) for c in x]))
-            images.append(Vector.make(field, [str(c) for c in y]))
+            domain.append(Vector.make(field, x))
+            images.append(Vector.make(field, y))
             if domain[-1].dim != n or images[-1].dim != n:
                 raise ParseError(f"probe pair {pair!r} is not {n}-dimensional")
         return cls(tuple(domain), tuple(images), complete)

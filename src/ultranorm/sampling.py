@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .betweenness import DEFAULT_ENUM_CAP
+from .errors import EnumerationTooLargeError, InvalidInputError
 from .fields import GF, PADIC, FieldSpec, Scalar
 from .isometry import AffineMap, AxialIsometry, ScalarIsometry, TableMap
 from .spaces import Vector
@@ -106,7 +107,10 @@ def _value_ladder(field: FieldSpec) -> list[Fraction]:
 
 def grid_from_values(field: FieldSpec, n: int, values) -> list[Vector]:
     """The full product grid: every vector with coordinates drawn from
-    `values`, in lexicographic order over the given value order."""
+    `values`, in lexicographic order over the given value order.  Capped
+    like a segment at 2**16 points."""
+    EnumerationTooLargeError.check(len(values), n, DEFAULT_ENUM_CAP,
+                                   f"{len(values)} values in {n} dimensions")
     scalars = [field.scalar(v) for v in values]
     return [Vector(field, combo) for combo in itertools.product(scalars, repeat=n)]
 

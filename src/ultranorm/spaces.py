@@ -64,7 +64,9 @@ class Vector:
             coords = obj["coords"]
         except (KeyError, TypeError):
             raise ParseError(f"bad vector object {obj!r}") from None
-        return cls.make(field, [str(c) for c in coords])
+        if not isinstance(coords, (list, tuple)):
+            raise ParseError(f"vector coords must be a list, got {coords!r}")
+        return cls.make(field, coords)
 
     def to_json(self) -> dict:
         return {"field": str(self.field), "coords": [str(c) for c in self.coords]}
@@ -135,6 +137,8 @@ class NormSpec:
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
         """Parse "one", "sup", or "wsup:w1,w2,..."."""
+        if not isinstance(text, str):
+            raise ParseError(f"norm tag must be a string, got {text!r}")
         head, sep, tail = text.strip().partition(":")
         if head in (ONE, SUP) and not sep:
             return cls(head)

@@ -137,6 +137,16 @@ def test_counterexample_pipeline(capsys):
     assert moved  # the critical sphere is hit
 
 
+def test_counterexample_grid_is_capped(capsys):
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "counterexample", "--field", "padic:3",
+                             "--e0", ",".join(["1"] + ["0"] * 13),
+                             "--v0", ",".join(["1/3"] + ["0"] * 13), "--values", "0,1,2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and payload["error"]["type"] == "enumeration-too-large"
+    assert payload["error"]["size"] == 4782969
+
+
 def test_counterexample_needs_probe_source(capsys):
     code, payload = run_json(capsys, "counterexample", "--field", "padic:3",
                              "--e0", "1,0", "--v0", "1/3,0")
@@ -212,8 +222,12 @@ def test_bug_exits_three_as_internal(capsys, monkeypatch):
      "2^60000"),
     (["segment", "--field", "padic:3", "--x", ",".join(["0"] * 15000),
       "--y", ",".join(["1"] * 15000)], "enumeration-too-large", "k=15000"),
+    (["norm", "--field", "padic:1000000000000000003", "--norm", "one", "--vec", "1"],
+     "parse", "2^32"),
+    (["enumerate", "--q", "1000000000000000003", "--n", "0"], "invalid-input", "2^32"),
 ], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
-        "betweenness-n-huge", "segment-k-huge"])
+        "betweenness-n-huge", "segment-k-huge", "field-modulus-huge",
+        "enumerate-q-huge"])
 def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, *argv)
@@ -231,8 +245,9 @@ def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     ({"pairs": [[["1"], 5]]}, "5"),
     ({"complete": "false"}, "'false'"),
     ({"n": 1.7}, "1.7"),
+    ({"pairs": [[[12345678901234567890.0], ["2"]]]}, "1.2345678901234567e+19"),
 ], ids=["pairs-null", "pair-of-numbers", "image-a-number", "complete-a-string",
-        "n-a-float"])
+        "n-a-float", "coordinate-a-float"])
 def test_malformed_probe_files_are_parse_errors(capsys, monkeypatch, change, named):
     import io
 
@@ -243,12 +258,26 @@ def test_malformed_probe_files_are_parse_errors(capsys, monkeypatch, change, nam
     assert named in payload["error"]["message"]
 
 
+def test_probe_integer_past_digit_limit_is_parse_error(capsys, monkeypatch):
+    import io
+
+    text = '{"field":"padic:3","n":1,"pairs":[[[' + "1" * 5000 + '],["1"]]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, payload = run_json(capsys, "verify", "--norm", "one", "--probes", "-")
+    assert code == 1 and payload["error"]["type"] == "parse"
+    assert "4300 digits" in payload["error"]["message"]
+
+
 def test_text_format(capsys):
     code, out = run(capsys, "norm", "--field", "padic:3", "--norm", "one",
                     "--vec", "9,1/3", "--format", "text")
     assert code == 0
     assert out.startswith("value: 28/9")
     assert "3.11111" in out  # decimal rendering is display-only
+    code, out = run(capsys, "norm", "--field", "padic:3", "--norm",
+                    "wsup:1" + "0" * 400 + "/7", "--vec", "1", "--format", "text")
+    assert code == 0
+    assert out == "value: 1" + "0" * 400 + "/7"  # beyond float range: exact only
 
 
 def test_missing_probe_file_is_domain_error(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,44 @@ def test_scalar_rejects_binary_floats():
     for field, value in ((Q3, 0.1), (F5, 2.5), (F5, 2.0)):
         with pytest.raises(ParseError, match=repr(value)):
             field.scalar(value)
+
+
+def test_scalar_constructor_normalises():
+    assert Scalar(F5, 7) == F5.scalar(2)
+    assert hash(Scalar(F5, 7)) == hash(F5.scalar(2))
+    assert Scalar(F5, 7).value == 2 and Scalar(F5, -1).value == 4
+    assert Scalar(F5, Fraction(12)).value == 2  # an integral Fraction is a residue
+    assert Scalar(Q3, 3) == Q3.scalar(Fraction(3))
+    assert type(Scalar(Q3, 3).value) is Fraction
+
+
+def test_scalar_constructor_rejects_inexact_values():
+    for field, value in ((Q3, 0.1), (F5, 2.0), (Q3, True), (F5, False), (Q3, "1"),
+                         (TQ, None), (F5, Fraction(1, 2))):
+        with pytest.raises(ParseError, match=str(value)):
+            Scalar(field, value)
+
+
+def test_subtraction_is_one_operation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("__sub__ went through __add__ or __neg__")
+
+    monkeypatch.setattr(Scalar, "__add__", forbidden)
+    monkeypatch.setattr(Scalar, "__neg__", forbidden)
+    assert (F5.scalar(1) - F5.scalar(3)).value == 3
+    assert (Q3.scalar(1) - Q3.scalar(3)).value == -2
+
+
+def test_modulus_is_bounded_before_primality_test():
+    from ultranorm import InvalidInputError
+
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInputError, match=r"2\^32"):
+        FieldSpec.gf(1000000000000000003)
+    with pytest.raises(ParseError, match=r"2\^32"):
+        FieldSpec.parse("padic:1000000000000000003")
+    assert time.perf_counter() - t0 < 1.0
+    assert FieldSpec.gf(4294967291).prime == 4294967291  # the largest prime below 2^32
 
 
 def test_gf_elements():

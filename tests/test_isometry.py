@@ -12,6 +12,7 @@ from ultranorm import (
     FieldSpec,
     HypothesisError,
     NormSpec,
+    ParseError,
     ProbeMap,
     TableMap,
     UnderdeterminedError,
@@ -85,6 +86,27 @@ def test_scalar_isometry_json_round_trip():
     assert scalar_isometry_from_json(Q3, affine.to_json_dict()) == affine
     table = TableMap.from_residues(F5, [4, 3, 2, 1, 0])
     assert scalar_isometry_from_json(F5, table.to_json_dict()) == table
+
+
+def test_scalar_isometry_json_takes_exact_numbers():
+    assert scalar_isometry_from_json(Q3, {"affine": [-2, "1/3"]}) == AffineMap(
+        Q3.scalar(-2), Q3.scalar(Fraction(1, 3)))
+    table = TableMap.from_pairs(Q3, [(0, 0), (1, 2)])
+    assert scalar_isometry_from_json(Q3, {"table": [[0, 0], ["1", 2]]}) == table
+
+
+@pytest.mark.parametrize("field, obj, named", [
+    (F5, {"table": 5}, "5"),
+    (Q3, {"table": [[1, 2, 3]]}, "[1, 2, 3]"),
+    (Q3, {"affine": ["1"]}, "['1']"),
+    (Q3, {"affine": [0.5, "0"]}, "0.5"),
+    (F5, {"table": [0, 1, 2, 3, 4.0]}, "4.0"),
+], ids=["table-a-number", "table-entry-a-triple", "affine-one-coefficient",
+        "affine-a-float", "residue-a-float"])
+def test_scalar_isometry_json_errors_are_parse_errors(field, obj, named):
+    with pytest.raises(ParseError) as err:
+        scalar_isometry_from_json(field, obj)
+    assert named in str(err.value)
 
 
 # -- axial isometries ----------------------------------------------------------
@@ -190,6 +212,14 @@ def test_probe_map_json_round_trip():
     back = ProbeMap.from_json(pm.to_json_dict())
     assert back == pm
     assert back.image_of(pm.domain[3]) == pm.images[3]
+
+
+def test_probe_map_json_takes_integer_coordinates():
+    pm = ProbeMap.from_json({"field": "gf:5", "n": 2, "pairs": [[[0, 7], [1, -1]]]})
+    assert pm.domain == (_v(F5, "0,2"),) and pm.images == (_v(F5, "1,4"),)
+    big = 12345678901234567890
+    pm = ProbeMap.from_json({"field": "padic:3", "n": 1, "pairs": [[[big], [str(big)]]]})
+    assert pm.domain == pm.images == (Vector.make(Q3, [big]),)
 
 
 def test_probe_map_rejects_malformed_input():

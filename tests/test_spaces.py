@@ -42,6 +42,9 @@ def test_norm_spec_parse():
     for bad in ("two", "wsup:", "wsup:0,1", "wsup:-1,2", "wsup:a,b"):
         with pytest.raises(ParseError):
             NormSpec.parse(bad)
+    for bad in (5, None):
+        with pytest.raises(ParseError, match=str(bad)):
+            NormSpec.parse(bad)
 
 
 def test_one_norm_padic_example():
@@ -152,6 +155,10 @@ def test_vector_parse_and_json_round_trip():
         Vector.parse(Q3, "9,,3")
     with pytest.raises(ParseError):
         Vector.parse(Q3, "")
+    assert Vector.from_json({"field": "padic:3", "coords": [9, "1/3"]}) == v
+    for coords in ("9", [0.5, 1], [True]):
+        with pytest.raises(ParseError):
+            Vector.from_json({"field": "padic:3", "coords": coords})
 
 
 def test_vector_arithmetic_and_mismatches():
