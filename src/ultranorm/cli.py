@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
-from .errors import ParseError, UltranormError
+from .errors import InvalidInputError, ParseError, UltranormError
 from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
@@ -79,6 +79,18 @@ def _read_probes(source: str) -> ProbeMap:
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"probe input is not JSON: {exc}") from None
     return ProbeMap.from_json(obj)
+
+
+def _payload(args) -> dict:
+    """Run the subcommand; an exact result too long to print is a domain error."""
+    try:
+        return args.handler(args)
+    except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
+        if "sys.set_int_max_str_digits" not in str(exc):
+            raise
+        raise InvalidInputError(
+            f"result has a number past the {sys.get_int_max_str_digits()}-digit "
+            "limit for printing integers") from None
 
 
 def _vec(args, name: str) -> Vector:
@@ -232,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--norm", default=NormSpec.one(), **norm_kw)
     cmd.add_argument("--centred", action="store_true", help="only maps fixing 0")
-    cmd.add_argument("--cap", type=int, default=None, help="max points (default 9)")
+    cmd.add_argument("--cap", type=int, default=None,
+                     help="max points (default 9; 7 for sup and wsup)")
     cmd.add_argument("--timing", action="store_true", help="include wall-clock duration")
 
     cmd = add("check-betweenness", _cmd_check_betweenness,
@@ -261,7 +274,7 @@ def main(argv=None) -> int:
             args.field = FieldSpec.parse(args.field)
         if isinstance(getattr(args, "norm", None), str):
             args.norm = NormSpec.parse(args.norm)
-        _emit(args.handler(args), args.format)
+        _emit(_payload(args), args.format)
     except UltranormError as exc:
         _emit({"error": exc.to_json_dict()}, args.format)
         return 1

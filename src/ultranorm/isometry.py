@@ -273,14 +273,19 @@ class AxialIsometry:
 
     @classmethod
     def from_json(cls, obj) -> "AxialIsometry":
-        try:
-            field = FieldSpec.parse(obj["field"])
-            sigma = tuple(int(s) for s in obj["sigma"])
-            translation = Vector.make(field, obj["translation"])
-            taus = tuple(scalar_isometry_from_json(field, t) for t in obj["taus"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad axial isometry object: {exc}") from None
-        return cls(sigma, taus, translation)
+        keys = ("field", "sigma", "taus", "translation")
+        if not (isinstance(obj, dict) and all(key in obj for key in keys)):
+            raise ParseError(f"bad axial isometry object (need {', '.join(keys)})")
+        field = FieldSpec.parse(obj["field"])
+        for key in keys[1:]:
+            if not isinstance(obj[key], (list, tuple)):
+                raise ParseError(f"axial isometry {key} must be a list, got {obj[key]!r}")
+        for s in obj["sigma"]:
+            if type(s) is not int:
+                raise ParseError(f"axial isometry sigma entry must be an integer, got {s!r}")
+        return cls(tuple(obj["sigma"]),
+                   tuple(scalar_isometry_from_json(field, t) for t in obj["taus"]),
+                   Vector.make(field, obj["translation"]))
 
 
 @dataclass(frozen=True)
@@ -462,9 +467,10 @@ def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
 
     ``entries`` are (value, image) pairs with nonzero values, in probe order;
     the implied (0, 0) entry is appended.  Finite fields demand the full
-    field on the axis and produce a table; rational fields get an affine fit
-    from the first two entries, validated against the rest, with a raw table
-    as the fallback when no affine map matches.
+    field on the axis and produce a table.  A centred tau fixes 0, so over
+    the rationals the only affine candidate is a -> (b0/a0)*a from the first
+    entry; it is validated on every entry, with a raw table as the fallback
+    when it does not match.
     """
     zero = field.zero
     full = entries + [(zero, zero)]
@@ -474,17 +480,9 @@ def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
             raise UnderdeterminedError(
                 f"axis {axis} lacks probes at {sorted(str(s) for s in missing)}", axis)
         return TableMap(tuple(full))
-    # rational field: affine u*a (+ 0) from the leading probes, per the
-    # centred form; validate on everything including the origin
-    (a0, b0) = entries[0]
-    if len(entries) == 1:
-        u, c = b0 * a0.inverse(), zero
-    else:
-        a1, b1 = entries[1]
-        u = (b1 - b0) * (a1 - a0).inverse()
-        c = b0 - u * a0
+    a0, b0 = entries[0]
     try:
-        affine = AffineMap(u, c)
+        affine = AffineMap(b0 * a0.inverse(), zero)
         if all(affine.apply(a) == b for a, b in full):
             return affine
     except InvalidInputError:
@@ -495,86 +493,68 @@ def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
 def decompose(m: ProbeMap) -> AxialIsometry:
     """Recover the axial form of a taxicab isometry from its probe table.
 
-    Subtracts the image of the origin, reads the axis-to-axis assignment off
-    the images of axis probes, fits each scalar isometry from its axis data,
-    then replays every probe through the candidate.  A probe inconsistent
-    with any axial form raises DecompositionError carrying that probe; axes
-    without usable probes raise UnderdeterminedError.
+    Three stages: the axis probes' images, less the origin's image t, give
+    the axis-to-axis assignment; each scalar isometry is fitted from its axis
+    data; every probe is replayed through the candidate.  A probe
+    inconsistent with any axial form raises DecompositionError carrying that
+    probe; axes without usable probes raise UnderdeterminedError.
     """
     field, n = m.field, m.dim
-    origin = Vector.zero(field, n)
     try:
-        t = m.image_of(origin)
+        t = m.image_of(Vector.zero(field, n))
     except KeyError:
         raise InvalidInputError("probe domain must contain the origin") from None
 
-    centred = {x: img - t for x, img in zip(m.domain, m.images)}
+    def failure(message: str, probe: Vector) -> DecompositionError:
+        return DecompositionError(message, witness=(probe, m.image_of(probe)))
 
-    axis_entries: dict[int, list[tuple[Scalar, Vector, Vector]]] = {i: [] for i in range(n)}
+    axis_probes: list[list[Vector]] = [[] for _ in range(n)]
     for x in m.domain:
         nz = _nonzero_positions(x)
         if len(nz) == 1:
-            axis_entries[nz[0]].append((x.coords[nz[0]], centred[x], x))
+            axis_probes[nz[0]].append(x)
 
-    target_of: dict[int, int] = {}
-    tau_data: dict[int, list[tuple[Scalar, Scalar]]] = {}
-    for i in range(n):
-        if not axis_entries[i]:
+    # sigma[j] is the input axis that lands on output axis j
+    sigma: list[int | None] = [None] * n
+    tau_data: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(n)]
+    for i, probes in enumerate(axis_probes):
+        if not probes:
             raise UnderdeterminedError(f"axis {i} has no nonzero probes", i)
-        entries = []
         target = None
-        for value, image, probe in axis_entries[i]:
+        for probe in probes:
+            image = m.image_of(probe) - t
             nz = _nonzero_positions(image)
             if len(nz) != 1:
-                raise DecompositionError(
-                    f"image of axis probe {probe} is not on a single axis",
-                    witness=(probe, m.image_of(probe)))
+                raise failure(f"image of axis probe {probe} is not on a single axis", probe)
             if target is None:
                 target = nz[0]
             elif nz[0] != target:
-                raise DecompositionError(
-                    f"axis {i} probes land on axes {target} and {nz[0]}",
-                    witness=(probe, m.image_of(probe)))
-            entries.append((value, image.coords[nz[0]]))
-        if target in target_of.values():
-            probe = axis_entries[i][0][2]
-            raise DecompositionError(
-                f"two axes map onto axis {target}", witness=(probe, m.image_of(probe)))
-        target_of[i] = target
-        tau_data[target] = entries
-
-    # target_of is injective on 0..n-1, hence a permutation; output j reads
-    # the input axis that lands on j
-    sigma = [0] * n
-    for i, j in target_of.items():
-        sigma[j] = i
+                raise failure(f"axis {i} probes land on axes {target} and {nz[0]}", probe)
+            tau_data[target].append((probe.coords[i], image.coords[target]))
+        if sigma[target] is not None:
+            raise failure(f"two axes map onto axis {target}", probes[0])
+        sigma[target] = i
 
     taus = []
-    for j in range(n):
+    for i, entries in zip(sigma, tau_data):
         try:
-            taus.append(_fit_tau(field, tau_data[j], axis=sigma[j]))
+            taus.append(_fit_tau(field, entries, axis=i))
         except InvalidInputError as exc:
-            probe = axis_entries[sigma[j]][0][2]
-            raise DecompositionError(
-                f"axis {sigma[j]} data fits no scalar isometry: {exc}",
-                witness=(probe, m.image_of(probe))) from None
+            raise failure(f"axis {i} data fits no scalar isometry: {exc}",
+                          axis_probes[i][0]) from None
 
     candidate = AxialIsometry(tuple(sigma), tuple(taus), t)
     for x, img in zip(m.domain, m.images):
         try:
             got = candidate.apply(x)
         except KeyError as exc:
-            axis = next(
-                (sigma[j] for j in range(n)
-                 if isinstance(taus[j], TableMap)
-                 and x.coords[sigma[j]] not in taus[j]._lookup),
-                -1)
+            axis = next((i for i, tau in zip(sigma, taus)
+                         if isinstance(tau, TableMap) and x.coords[i] not in tau._lookup),
+                        -1)
             raise UnderdeterminedError(
                 f"cannot replay probe {x}: {exc.args[0]}", axis) from None
         if got != img:
-            raise DecompositionError(
-                f"probe {x} maps to {img}, axial reconstruction gives {got}",
-                witness=(x, img))
+            raise failure(f"probe {x} maps to {img}, axial reconstruction gives {got}", x)
     return candidate
 
 

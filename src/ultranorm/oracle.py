@@ -22,6 +22,9 @@ from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decomp
 from .spaces import NormSpec, Vector, distance, enumerate_space
 
 DEFAULT_SPACE_CAP = 9          # points; (q^n)! bijections would dwarf anything larger
+# Under sup every bijection of F_q^n is an isometry, so the search visits all
+# (q^n)! of them: 7! = 5040, the most a one-norm search reaches at its cap.
+DEFAULT_ULTRAMETRIC_SPACE_CAP = 7
 DEFAULT_TRIPLE_CAP = 10 ** 7   # betweenness triples
 
 
@@ -117,12 +120,14 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     Incremental pruning rejects a partial assignment at its first violated
     pairwise distance.  Each found bijection is then classified through
     `decompose`: success means axial, failure is recorded with its witness.
-    Guarded by q**n <= cap (default 9).
+    Guarded by q**n <= cap (default 9, or 7 for the ultrametric sup and
+    weighted sup norms).
     """
     if spec is None:
         spec = NormSpec.one()
-    EnumerationTooLargeError.check(q, n, DEFAULT_SPACE_CAP if cap is None else cap,
-                                   f"F_{q}^{n}")
+    if cap is None:
+        cap = DEFAULT_ULTRAMETRIC_SPACE_CAP if spec.ultrametric else DEFAULT_SPACE_CAP
+    EnumerationTooLargeError.check(q, n, cap, f"F_{q}^{n}")
     field = FieldSpec.gf(q)
 
     t0 = time.perf_counter()

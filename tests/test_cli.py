@@ -225,9 +225,11 @@ def test_bug_exits_three_as_internal(capsys, monkeypatch):
     (["norm", "--field", "padic:1000000000000000003", "--norm", "one", "--vec", "1"],
      "parse", "2^32"),
     (["enumerate", "--q", "1000000000000000003", "--n", "0"], "invalid-input", "2^32"),
+    (["norm", "--field", "padic:3", "--norm", "wsup:1" + "0" * 3000,
+      "--vec", f"1/{3 ** 6000}"], "invalid-input", "4300-digit limit"),
 ], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
         "betweenness-n-huge", "segment-k-huge", "field-modulus-huge",
-        "enumerate-q-huge"])
+        "enumerate-q-huge", "result-past-digit-limit"])
 def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, *argv)
@@ -237,6 +239,17 @@ def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     assert named in payload["error"]["message"]
     if kind == "enumeration-too-large":
         assert payload["error"]["size"] is None
+
+
+def test_sup_enumeration_past_its_cap_is_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "enumerate", "--q", "3", "--n", "2", "--norm", "sup")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "enumeration-too-large",
+        "message": "enumeration of 9 elements exceeds cap 7 (F_3^2)",
+        "size": 9, "cap": 7}
 
 
 @pytest.mark.parametrize("change, named", [

@@ -3,7 +3,9 @@
 Each entry holds an argv, its exit code and its exact stdout.  Entries run in
 order inside one temporary directory, which "{tmp}" in an argv names; an
 entry with "save_as" writes its stdout there, so probe files flow from
-`counterexample` into `verify` and `decompose` as in the README.
+`counterexample` into `verify` and `decompose` as in the README.  An entry
+with "files" first writes each named JSON object there, e.g. a hand-made
+probe file.
 
 To record the outputs of the current code after an intended change, run
 `PYTHONPATH=src python3 tests/test_cli_golden.py`.
@@ -25,6 +27,8 @@ GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 def replay(entries, tmp: pathlib.Path) -> list[tuple[int, str]]:
     results = []
     for entry in entries:
+        for name, obj in entry.get("files", {}).items():
+            (tmp / name).write_text(json.dumps(obj), encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp)) for arg in entry["argv"]]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

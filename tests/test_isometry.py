@@ -11,6 +11,7 @@ from ultranorm import (
     DecompositionError,
     FieldSpec,
     HypothesisError,
+    InvalidInputError,
     NormSpec,
     ParseError,
     ProbeMap,
@@ -178,6 +179,29 @@ def test_axial_isometry_json_round_trip():
             for _ in range(6):
                 x = random_vector(field, n, rng)
                 assert back.apply(x) == iso.apply(x)
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"sigma": [1.7, 0]}, "1.7"),
+    ({"sigma": [True, 0]}, "True"),
+    ({"sigma": "10"}, "'10'"),
+    ({"translation": "12"}, "'12'"),
+    ({"taus": {"affine": ["1", "0"]}}, "{'affine': ['1', '0']}"),
+], ids=["sigma-a-float", "sigma-a-bool", "sigma-a-string", "translation-a-string",
+        "taus-an-object"])
+def test_axial_isometry_json_errors_name_the_value(change, named):
+    obj = {**AxialIsometry.identity(Q3, 2).to_json_dict(), **change}
+    with pytest.raises(ParseError) as err:
+        AxialIsometry.from_json(obj)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("obj", [None, [], {"field": "padic:3", "sigma": [0]}],
+                         ids=["null", "a-list", "missing-keys"])
+def test_axial_isometry_json_needs_an_object_with_all_keys(obj):
+    with pytest.raises(ParseError) as err:
+        AxialIsometry.from_json(obj)
+    assert "need field, sigma, taus, translation" in str(err.value)
 
 
 def test_sigma_must_be_permutation():
@@ -352,6 +376,59 @@ def test_decompose_rejects_non_axial_map():
     with pytest.raises(DecompositionError) as err:
         decompose(pm)
     assert err.value.witness is not None
+
+
+def _probe_map(field, rows):
+    return ProbeMap(tuple(_v(field, x) for x, _ in rows), tuple(_v(field, y) for _, y in rows))
+
+
+# 1 <-> 4 swapped, 0 fixed: a partial rational table that no affine map fits
+SWAP_ROWS = [("0,0", "0,0"), ("1,0", "4,0"), ("4,0", "1,0"), ("0,1", "0,1")]
+
+
+@pytest.mark.parametrize("field, rows, error, message, witness, axis", [
+    (Q3, [("1,0", "1,0")], InvalidInputError,
+     "probe domain must contain the origin", None, None),
+    (Q3, [("0,0", "0,0"), ("1,0", "1,0"), ("1,1", "1,1")], UnderdeterminedError,
+     "axis 1 has no nonzero probes", None, 1),
+    (FieldSpec.parse("gf:3"), [("0", "1"), ("1", "0")], UnderdeterminedError,
+     "axis 0 lacks probes at ['2']", None, 0),
+    (Q3, [("0,0", "0,0"), ("1,0", "1,1"), ("0,1", "0,1")], DecompositionError,
+     "image of axis probe 1,0 is not on a single axis", ("1,0", "1,1"), None),
+    (Q3, [("0,0", "0,0"), ("1,0", "1,0"), ("3,0", "0,3"), ("0,1", "0,1")],
+     DecompositionError, "axis 0 probes land on axes 0 and 1", ("3,0", "0,3"), None),
+    (Q3, [("0,0", "0,0"), ("1,0", "1,0"), ("0,1", "2,0")], DecompositionError,
+     "two axes map onto axis 0", ("0,1", "2,0"), None),
+    (Q3, [("0,0", "1,1"), ("1,0", "4,1"), ("0,1", "1,2")], DecompositionError,
+     "axis 0 data fits no scalar isometry: table not metric-preserving: "
+     "|1-0|=1 but |3-0|=1/3", ("1,0", "4,1"), None),
+    (Q3, SWAP_ROWS + [("5/7,5/7", "5/7,5/7")], UnderdeterminedError,
+     "cannot replay probe 5/7,5/7: value 5/7 not in isometry table", None, 0),
+    (Q3, [("0,0", "0,0"), ("1,0", "1,0"), ("0,1", "0,1"), ("1,1", "1,2")],
+     DecompositionError, "probe 1,1 maps to 1,2, axial reconstruction gives 1,1",
+     ("1,1", "1,2"), None),
+], ids=["origin-missing", "bare-axis", "gf-axis-missing-residue", "image-off-axis",
+        "axis-lands-on-two-axes", "two-axes-onto-one", "fits-no-scalar-isometry",
+        "table-cannot-replay", "reconstruction-mismatch"])
+def test_decompose_failure_stages(field, rows, error, message, witness, axis):
+    with pytest.raises(error) as err:
+        decompose(_probe_map(field, rows))
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if witness is not None:
+        assert tuple(map(str, err.value.witness)) == witness
+    if axis is not None:
+        assert err.value.axis == axis
+
+
+def test_decompose_returns_rational_table_when_no_affine_map_fits():
+    pm = _probe_map(Q3, SWAP_ROWS + [("1,4", "4,4"), ("4,1", "1,1")])
+    rec = decompose(pm)
+    assert rec.sigma == (0, 1)
+    assert rec.taus[0] == TableMap.from_pairs(Q3, [(1, 4), (4, 1), (0, 0)])
+    assert rec.taus[1] == AffineMap(Q3.one, Q3.zero)
+    for x, y in zip(pm.domain, pm.images):
+        assert rec.apply(x) == y
 
 
 # -- the sphere-shift counterexample ---------------------------------------------

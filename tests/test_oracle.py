@@ -125,6 +125,21 @@ def test_enumeration_explicit_cap():
     assert err.value.size == 4 and err.value.cap == 3
 
 
+def test_ultrametric_norms_have_a_smaller_default_cap():
+    # under sup all (q^n)! bijections are isometries: 9 points would be 9! maps
+    for spec in (SUP, NormSpec.parse("wsup:1,2")):
+        with pytest.raises(EnumerationTooLargeError) as err:
+            enumerate_isometries(3, 2, spec)
+        assert err.value.size == 9 and err.value.cap == 7
+    with pytest.raises(EnumerationTooLargeError) as err:
+        enumerate_isometries(2, 3, SUP)
+    assert err.value.size == 8 and err.value.cap == 7
+    with pytest.raises(EnumerationTooLargeError) as err:
+        enumerate_isometries(2, 2, SUP, cap=3)  # an explicit cap still rules
+    assert err.value.cap == 3
+    assert enumerate_isometries(2, 2, SUP).count == 24
+
+
 def test_betweenness_exhaustive_small():
     report = exhaustive_betweenness_check(2, 1)
     assert report.triples == 8 and report.ok

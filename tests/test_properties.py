@@ -1,4 +1,6 @@
-"""Property tests of scalar arithmetic against plain integer and Fraction math.
+"""Property tests of scalar arithmetic against plain integer and Fraction math,
+and of axial isometries: compose and inverse laws, decompose round trips and
+JSON round trips.
 
 Every test runs a fixed number of derandomized examples with no example
 database, so the file is deterministic and takes a few seconds.
@@ -6,6 +8,8 @@ database, so the file is deterministic and takes a few seconds.
 
 from __future__ import annotations
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,20 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from ultranorm import FieldSpec, ParseError, Scalar, Vector, valuation
+from ultranorm import (
+    AffineMap,
+    AxialIsometry,
+    FieldSpec,
+    ParseError,
+    ProbeMap,
+    Scalar,
+    TableMap,
+    Vector,
+    decompose,
+    enumerate_space,
+    valuation,
+)
+from ultranorm.sampling import probe_grid
 
 from naive import padic_abs, trivial_abs
 
@@ -96,3 +113,160 @@ def test_json_integer_and_string_coordinates_agree(field, coords):
     as_ints = Vector.from_json({"field": str(field), "coords": coords})
     as_strings = Vector.from_json({"field": str(field), "coords": [str(c) for c in coords]})
     assert as_ints == as_strings
+
+
+# -- axial isometries ----------------------------------------------------------
+
+PADIC_FIELDS = st.sampled_from([FieldSpec.padic(2), FieldSpec.padic(3), FieldSpec.padic(5)])
+SMALL_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def units(draw, field):
+    """A rational with |u|_p = 1: numerator and denominator prime to p."""
+    p = field.prime
+    num = draw(st.integers(1, 40).filter(lambda k: k % p))
+    den = draw(st.integers(1, 40).filter(lambda k: k % p))
+    return Fraction(draw(st.sampled_from([1, -1])) * num, den)
+
+
+@st.composite
+def rational_tables(draw, field):
+    """A partial table on 0 and a few small integers, a -> a + p^5 * r_a.
+
+    Two inputs differ by at most 24 < 2^5, so |a - b|_p > p^-5 bounds every
+    perturbation difference: the table preserves distances yet is rarely
+    affine."""
+    values = draw(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                           unique=True))
+    p = field.prime
+    return TableMap.from_pairs(
+        field, [(a, a + p ** 5 * draw(st.integers(-3, 3))) for a in [0] + values])
+
+
+@st.composite
+def rational_isometries(draw, field, n, tables=True):
+    """An axial isometry over padic:p whose taus are affine or, with
+    `tables`, partial rational tables."""
+    taus = []
+    for _ in range(n):
+        if tables and draw(st.booleans()):
+            taus.append(draw(rational_tables(field)))
+        else:
+            taus.append(AffineMap(Scalar(field, draw(units(field))),
+                                  Scalar(field, draw(SMALL_FRACTIONS))))
+    translation = Vector.make(field, draw(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)))
+    return AxialIsometry(tuple(draw(st.permutations(range(n)))), tuple(taus), translation)
+
+
+@st.composite
+def finite_isometries(draw, q, n):
+    taus = tuple(TableMap.from_residues(FieldSpec.gf(q), draw(st.permutations(range(q))))
+                 for _ in range(n))
+    translation = Vector.make(FieldSpec.gf(q),
+                              draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    return AxialIsometry(tuple(draw(st.permutations(range(n)))), taus, translation)
+
+
+def draw_domain_point(data, iso):
+    """A point every table tau of iso is defined on."""
+    coords = [None] * iso.dim
+    for tau, src in zip(iso.taus, iso.sigma):
+        if isinstance(tau, TableMap):
+            coords[src] = data.draw(st.sampled_from([a for a, _ in tau.entries]))
+        else:
+            coords[src] = data.draw(SMALL_FRACTIONS)
+    return Vector.make(iso.field, coords)
+
+
+@SETTINGS
+@given(field=PADIC_FIELDS, n=st.integers(1, 3), data=st.data())
+def test_rational_compose_and_inverse_laws(field, n, data):
+    f = data.draw(rational_isometries(field, n))
+    g = data.draw(rational_isometries(field, n, tables=False))
+    f_inv = f.inverse()
+    y = draw_domain_point(data, f)
+    x = g.inverse().apply(y)  # g(x) = y lies in f's domain
+    assert g.apply(x) == y
+    assert f.compose(g).apply(x) == f.apply(g.apply(x))
+    assert g.compose(f).apply(y) == g.apply(f.apply(y))
+    assert f_inv.apply(f.apply(y)) == y
+    assert f.apply(f_inv.apply(f.apply(y))) == f.apply(y)
+    assert f_inv.compose(f).apply(y) == y                # table after table
+    assert f.compose(f_inv).apply(f.apply(y)) == f.apply(y)
+
+
+@SETTINGS
+@given(q=st.sampled_from([2, 3]), n=st.integers(1, 2), data=st.data())
+def test_finite_compose_and_inverse_laws(q, n, data):
+    f = data.draw(finite_isometries(q, n))
+    g = data.draw(finite_isometries(q, n))
+    f_inv = f.inverse()
+    for x in enumerate_space(FieldSpec.gf(q), n):
+        assert f.compose(g).apply(x) == f.apply(g.apply(x))
+        assert f_inv.apply(f.apply(x)) == x == f.apply(f_inv.apply(x))
+
+
+@SETTINGS
+@given(q=st.sampled_from([2, 3, 5]), n=st.integers(1, 2), data=st.data())
+def test_decompose_round_trip_finite(q, n, data):
+    iso = data.draw(finite_isometries(q, n))
+    pm = ProbeMap.from_isometry(iso, enumerate_space(FieldSpec.gf(q), n), complete=True)
+    rec = decompose(pm)
+    assert rec.sigma == iso.sigma
+    assert rec.translation == iso.apply(Vector.zero(FieldSpec.gf(q), n))
+    for x, y in zip(pm.domain, pm.images):
+        assert rec.apply(x) == y
+
+
+@SETTINGS
+@given(field=PADIC_FIELDS, n=st.integers(1, 3), size=st.integers(2, 8), data=st.data())
+def test_decompose_round_trip_affine(field, n, size, data):
+    iso = data.draw(rational_isometries(field, n, tables=False))
+    grid = probe_grid(field, n, size if n == 1 else 4 * size)
+    rec = decompose(ProbeMap.from_isometry(iso, grid))
+    assert rec.sigma == iso.sigma
+    assert all(isinstance(tau, AffineMap) for tau in rec.taus)
+    for x in grid + [draw_domain_point(data, iso)]:
+        assert rec.apply(x) == iso.apply(x)
+
+
+@SETTINGS
+@given(field=PADIC_FIELDS, n=st.integers(1, 2), data=st.data())
+def test_decompose_round_trip_rational_tables(field, n, data):
+    iso = data.draw(rational_isometries(field, n))
+    domains = [None] * n
+    for tau, src in zip(iso.taus, iso.sigma):
+        domains[src] = ([a for a, _ in tau.entries] if isinstance(tau, TableMap)
+                        else [field.zero, field.one, Scalar(field, field.prime)])
+    pm = ProbeMap.from_isometry(
+        iso, [Vector(field, combo) for combo in itertools.product(*domains)])
+    rec = decompose(pm)
+    assert rec.sigma == iso.sigma
+    for x, y in zip(pm.domain, pm.images):
+        assert rec.apply(x) == y
+
+
+def _through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@SETTINGS
+@given(field=PADIC_FIELDS, n=st.integers(1, 3), data=st.data())
+def test_axial_isometry_json_round_trip(field, n, data):
+    iso = data.draw(rational_isometries(field, n))
+    assert AxialIsometry.from_json(_through_json(iso.to_json_dict())) == iso
+    finite = data.draw(finite_isometries(data.draw(st.sampled_from([2, 3, 5])), n))
+    assert AxialIsometry.from_json(_through_json(finite.to_json_dict())) == finite
+
+
+@SETTINGS
+@given(field=PADIC_FIELDS, n=st.integers(1, 2), size=st.integers(1, 8), data=st.data())
+def test_probe_map_json_round_trip(field, n, size, data):
+    iso = data.draw(rational_isometries(field, n, tables=False))
+    pm = ProbeMap.from_isometry(iso, probe_grid(field, n, size))
+    assert ProbeMap.from_json(_through_json(pm.to_json_dict())) == pm
+    q = data.draw(st.sampled_from([2, 3]))
+    finite = ProbeMap.from_isometry(data.draw(finite_isometries(q, n)),
+                                    enumerate_space(FieldSpec.gf(q), n), complete=True)
+    assert ProbeMap.from_json(_through_json(finite.to_json_dict())) == finite
