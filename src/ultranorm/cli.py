@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
-from .errors import InvalidInputError, ParseError, UltranormError
+from .errors import EnumerationTooLargeError, InvalidInputError, ParseError, UltranormError
 from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
@@ -163,6 +163,9 @@ def _cmd_check_betweenness(args) -> dict:
 def _cmd_check_axioms(args) -> dict:
     import random
 
+    dim = max(args.dim, 1) if args.norm is not None else 1  # only --norm draws vectors
+    EnumerationTooLargeError.check(args.samples * dim, 1, betweenness.DEFAULT_ENUM_CAP,
+                                   f"{args.samples} samples x {dim} coordinates")
     rng = random.Random(args.seed)
     pairs = [
         (sampling.random_scalar(args.field, rng), sampling.random_scalar(args.field, rng))
@@ -260,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--field", **field_kw)
     cmd.add_argument("--norm", default=None, **norm_kw)
     cmd.add_argument("--dim", type=int, default=2)
-    cmd.add_argument("--samples", type=int, default=500)
+    cmd.add_argument("--samples", type=int, default=500,
+                     help="samples (x dim with --norm) at most 2^16")
     cmd.add_argument("--seed", type=int, default=0)
 
     return parser

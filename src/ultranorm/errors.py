@@ -31,6 +31,16 @@ class InvalidInputError(UltranormError, ValueError):
     kind = "invalid-input"
 
 
+class OutsideDomainError(InvalidInputError, KeyError):
+    """A value or point lies outside a partial map's table or probe domain.
+
+    Also a KeyError, so callers that catch a failed lookup keep working; str()
+    gives the plain message, not KeyError's quoted repr.
+    """
+
+    __str__ = Exception.__str__
+
+
 class ParseError(UltranormError):
     """A textual form (field tag, scalar, vector, probe file) is malformed.
 

@@ -24,6 +24,7 @@ from .errors import (
     FieldMismatchError,
     HypothesisError,
     InvalidInputError,
+    OutsideDomainError,
     ParseError,
     UnderdeterminedError,
 )
@@ -124,7 +125,7 @@ class TableMap:
         try:
             return self._lookup[a]
         except KeyError:
-            raise KeyError(f"value {a} not in isometry table") from None
+            raise OutsideDomainError(f"value {a} not in isometry table") from None
 
     @property
     def is_centred(self) -> bool:
@@ -346,7 +347,7 @@ class ProbeMap:
         try:
             return self._lookup[x]
         except KeyError:
-            raise KeyError(f"point {x} not in probe domain") from None
+            raise OutsideDomainError(f"point {x} not in probe domain") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -502,7 +503,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     field, n = m.field, m.dim
     try:
         t = m.image_of(Vector.zero(field, n))
-    except KeyError:
+    except OutsideDomainError:
         raise InvalidInputError("probe domain must contain the origin") from None
 
     def failure(message: str, probe: Vector) -> DecompositionError:
@@ -547,7 +548,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     for x, img in zip(m.domain, m.images):
         try:
             got = candidate.apply(x)
-        except KeyError as exc:
+        except OutsideDomainError as exc:
             axis = next((i for i, tau in zip(sigma, taus)
                          if isinstance(tau, TableMap) and x.coords[i] not in tau._lookup),
                         -1)

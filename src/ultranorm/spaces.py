@@ -5,6 +5,10 @@ sup norm ||x||_inf = max of coordinate valuations, and the weighted sup norm
 max_i w_i |x_i| with strictly positive rational weights.  The sup variants
 are ultrametric (strong triangle inequality); the taxicab norm is not once
 the dimension exceeds 1, which is the whole point of this package.
+
+`norm` and `distance` share one kernel: each coordinate's valuation comes
+from the integer numerators and denominators, and one Fraction is built
+per result.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .fields import GF, AxiomReport, FieldSpec, Magnitude, Scalar, valuation
+from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _multiplicity,
+                     valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -160,21 +165,46 @@ class NormSpec:
 
 
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
-    """Exact norm value of v under spec."""
-    vals = [valuation(c) for c in v.coords]
-    if spec.kind == ONE:
-        return sum(vals, Fraction(0))
-    if spec.kind == SUP:
-        return max(vals)
-    if len(spec.weights) != v.dim:
-        raise DimensionMismatchError(
-            f"{len(spec.weights)} weights for dimension {v.dim}")
-    return max(w * val for w, val in zip(spec.weights, vals))
+    """Exact norm value of v under spec: its distance from the origin."""
+    return _difference_norm(v, itertools.repeat(v.field.zero), spec)
 
 
 def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     """d(x, y) = ||x - y||; exact, symmetric, zero iff x = y."""
-    return norm(x - y, spec)
+    x._check(y)
+    return _difference_norm(x, y.coords, spec)
+
+
+def _difference_norm(x: Vector, ys, spec: NormSpec) -> Magnitude:
+    """||x - y|| from x and y's coordinates, without building x - y.
+
+    Each |a - b| with a != b is p**e.  Over padic:p, with a = an/ad and
+    b = bn/bd in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad)
+    comes from integers alone; over gf:q and trivial:q, e = 0.  Only the
+    result is a Fraction: the one-norm's sum is taken over the common
+    denominator.
+    """
+    if spec.kind == WSUP and len(spec.weights) != x.dim:
+        raise DimensionMismatchError(
+            f"{len(spec.weights)} weights for dimension {x.dim}")
+    p = x.field.prime if x.field.kind == PADIC else 1
+    exps = {}   # coordinate index -> e, where a != b
+    for i, (a, b) in enumerate(zip(x.coords, ys)):
+        if a is b:   # segment points share their endpoints' scalars
+            continue
+        (an, ad), (bn, bd) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
+        if an != bn or ad != bd:
+            exps[i] = 0 if p == 1 else (_multiplicity(ad * bd, p)
+                                        - _multiplicity(an * bd - bn * ad, p))
+    if not exps:
+        return Fraction(0)
+    if spec.kind == ONE:
+        lo = min(exps.values())
+        total = sum(p ** (e - lo) for e in exps.values())
+        return Fraction(total, p ** -lo) if lo < 0 else Fraction(total * p ** lo)
+    if spec.kind == SUP:
+        return Fraction(p) ** max(exps.values())
+    return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
 
 
 def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:

@@ -227,9 +227,14 @@ def test_bug_exits_three_as_internal(capsys, monkeypatch):
     (["enumerate", "--q", "1000000000000000003", "--n", "0"], "invalid-input", "2^32"),
     (["norm", "--field", "padic:3", "--norm", "wsup:1" + "0" * 3000,
       "--vec", f"1/{3 ** 6000}"], "invalid-input", "4300-digit limit"),
+    (["check-axioms", "--field", "padic:3", "--samples", "1" + "0" * 1300],
+     "enumeration-too-large", "0 samples x 1 coordinates"),
+    (["check-axioms", "--field", "padic:3", "--norm", "one", "--dim", "1" + "0" * 1300],
+     "enumeration-too-large", "500 samples x 1000"),
 ], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
         "betweenness-n-huge", "segment-k-huge", "field-modulus-huge",
-        "enumerate-q-huge", "result-past-digit-limit"])
+        "enumerate-q-huge", "result-past-digit-limit", "axioms-samples-huge",
+        "axioms-dim-huge"])
 def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, *argv)
@@ -239,6 +244,23 @@ def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     assert named in payload["error"]["message"]
     if kind == "enumeration-too-large":
         assert payload["error"]["size"] is None
+
+
+@pytest.mark.parametrize("extra, size, named", [
+    (["--samples", "100000000"], 100000000, "100000000 samples x 1 coordinates"),
+    (["--norm", "one", "--dim", "1000000000"], 500000000000,
+     "500 samples x 1000000000 coordinates"),
+    (["--norm", "sup", "--samples", "20000", "--dim", "4"], 80000,
+     "20000 samples x 4 coordinates"),
+])
+def test_check_axioms_work_is_capped(capsys, extra, size, named):
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "check-axioms", "--field", "padic:3", *extra)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["error"]["type"] == "enumeration-too-large"
+    assert named in payload["error"]["message"]
+    assert (payload["error"]["size"], payload["error"]["cap"]) == (size, 2 ** 16)
 
 
 def test_sup_enumeration_past_its_cap_is_refused_fast(capsys):

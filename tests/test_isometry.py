@@ -16,6 +16,7 @@ from ultranorm import (
     ParseError,
     ProbeMap,
     TableMap,
+    UltranormError,
     UnderdeterminedError,
     Vector,
     decompose,
@@ -26,6 +27,7 @@ from ultranorm import (
     valuation,
     verify_isometry,
 )
+from ultranorm.errors import OutsideDomainError
 from ultranorm.sampling import probe_grid, random_axial_isometry, random_vector
 
 Q3 = FieldSpec.parse("padic:3")
@@ -429,6 +431,37 @@ def test_decompose_returns_rational_table_when_no_affine_map_fits():
     assert rec.taus[1] == AffineMap(Q3.one, Q3.zero)
     for x, y in zip(pm.domain, pm.images):
         assert rec.apply(x) == y
+
+
+# -- lookups outside a partial table or probe domain -----------------------------
+
+
+def _partial_isometry(pairs):
+    tau = TableMap.from_pairs(Q3, pairs)
+    return AxialIsometry((0,), (tau,), Vector.zero(Q3, 1))
+
+
+def test_compose_of_disjoint_partial_tables_is_a_typed_error():
+    outer, inner = _partial_isometry([(0, 0), (1, 4)]), _partial_isometry([(0, 0), (2, 5)])
+    with pytest.raises(OutsideDomainError, match="^value 5 not in isometry table$") as err:
+        outer.compose(inner)
+    assert isinstance(err.value, UltranormError)
+    assert err.value.to_json_dict() == {
+        "type": "invalid-input", "message": "value 5 not in isometry table"}
+
+
+def test_apply_outside_a_partial_table_is_a_typed_error():
+    iso = _partial_isometry([(0, 0), (1, 4)])
+    assert iso.apply(_v(Q3, "1")) == _v(Q3, "4")
+    with pytest.raises(OutsideDomainError, match="^value 2/3 not in isometry table$"):
+        iso.apply(_v(Q3, "2/3"))
+
+
+def test_image_of_a_point_outside_the_probe_domain_is_a_typed_error():
+    pm = _probe_map(Q3, [("0,0", "0,0"), ("1,0", "1,0")])
+    with pytest.raises(OutsideDomainError, match="^point 0,1 not in probe domain$") as err:
+        pm.image_of(_v(Q3, "0,1"))
+    assert isinstance(err.value, InvalidInputError)
 
 
 # -- the sphere-shift counterexample ---------------------------------------------

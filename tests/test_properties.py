@@ -1,6 +1,7 @@
 """Property tests of scalar arithmetic against plain integer and Fraction math,
-and of axial isometries: compose and inverse laws, decompose round trips and
-JSON round trips.
+of norms, distances and metric betweenness against the naive oracles, and of
+axial isometries: compose and inverse laws, decompose round trips and JSON
+round trips.
 
 Every test runs a fixed number of derandomized examples with no example
 database, so the file is deterministic and takes a few seconds.
@@ -22,18 +23,22 @@ from ultranorm import (
     AffineMap,
     AxialIsometry,
     FieldSpec,
+    NormSpec,
     ParseError,
     ProbeMap,
     Scalar,
     TableMap,
     Vector,
     decompose,
+    distance,
     enumerate_space,
+    is_metrically_between,
+    norm,
     valuation,
 )
 from ultranorm.sampling import probe_grid
 
-from naive import padic_abs, trivial_abs
+from naive import metric_between, one_norm, padic_abs, sup_norm, trivial_abs
 
 # Reporting a failure imports libcst, which warns on import; without this
 # filter "error" turns that warning into a pytest INTERNALERROR.
@@ -113,6 +118,94 @@ def test_json_integer_and_string_coordinates_agree(field, coords):
     as_ints = Vector.from_json({"field": str(field), "coords": coords})
     as_strings = Vector.from_json({"field": str(field), "coords": [str(c) for c in coords]})
     assert as_ints == as_strings
+
+
+# -- norms, distances and betweenness ------------------------------------------
+
+NORM_FIELDS = st.sampled_from([FieldSpec.padic(p) for p in (2, 3, 5, 7)]
+                              + [FieldSpec.gf(2), FieldSpec.gf(7), FieldSpec.trivial()])
+
+
+def coordinates(field):
+    """Residues over gf:q; over padic:p, small rationals times p^k with |k| up
+    to 45, so valuations run past p^40 both ways."""
+    if field.kind == "gf":
+        return st.integers(0, field.prime - 1)
+    small = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+    if field.kind != "padic":
+        return small
+    return st.builds(lambda u, k: u * Fraction(field.prime) ** k, small, st.integers(-45, 45))
+
+
+@st.composite
+def coordinate_lists(draw, field, n, *bases):
+    """n coordinates, each zero, fresh, or the matching one of some base list."""
+    return [draw(st.sampled_from([0, *(b[i] for b in bases)]) | coordinates(field))
+            for i in range(n)]
+
+
+@st.composite
+def norm_specs(draw, n):
+    kind = draw(st.sampled_from(["one", "sup", "wsup"]))
+    if kind != "wsup":
+        return NormSpec(kind)
+    weight = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100)
+    return NormSpec.weighted_sup(draw(st.lists(weight, min_size=n, max_size=n)))
+
+
+def naive_distance(field, spec, xs, ys):
+    """||xs - ys|| under spec, from tests/naive.py's absolute values."""
+    if field.kind == "padic":
+        def absval(c):
+            return padic_abs(c, field.prime)
+    elif field.kind == "gf":
+        def absval(c):
+            return trivial_abs(c % field.prime)
+    else:
+        absval = trivial_abs
+    diffs = [a - b for a, b in zip(xs, ys)]
+    if spec.kind == "one":
+        return one_norm(diffs, absval)
+    if spec.kind == "sup":
+        return sup_norm(diffs, absval)
+    return sup_norm(zip(spec.weights, diffs), lambda wd: wd[0] * absval(wd[1]))
+
+
+@SETTINGS
+@given(field=NORM_FIELDS, n=st.integers(1, 6), data=st.data())
+def test_norm_matches_naive_oracle(field, n, data):
+    spec = data.draw(norm_specs(n))
+    xs = data.draw(coordinate_lists(field, n))
+    got = norm(Vector.make(field, xs), spec)
+    assert type(got) is Fraction
+    assert got == naive_distance(field, spec, xs, [0] * n)
+
+
+@SETTINGS
+@given(field=NORM_FIELDS, n=st.integers(1, 6), data=st.data())
+def test_distance_matches_naive_oracle(field, n, data):
+    spec = data.draw(norm_specs(n))
+    xs = data.draw(coordinate_lists(field, n))
+    ys = data.draw(coordinate_lists(field, n, xs))
+    x, y = Vector.make(field, xs), Vector.make(field, ys)
+    got = distance(x, y, spec)
+    assert type(got) is Fraction
+    assert got == distance(y, x, spec) == naive_distance(field, spec, xs, ys)
+
+
+@SETTINGS
+@given(field=NORM_FIELDS, n=st.integers(1, 5), data=st.data())
+def test_metric_betweenness_matches_naive_oracle(field, n, data):
+    xs = data.draw(coordinate_lists(field, n))
+    ys = data.draw(coordinate_lists(field, n, xs))
+    zs = data.draw(coordinate_lists(field, n, xs, ys))
+    one = NormSpec.one()
+
+    def dist(a, b):
+        return naive_distance(field, one, a, b)
+
+    x, z, y = (Vector.make(field, c) for c in (xs, zs, ys))
+    assert is_metrically_between(x, z, y) == metric_between(xs, zs, ys, dist)
 
 
 # -- axial isometries ----------------------------------------------------------

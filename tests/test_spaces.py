@@ -23,6 +23,7 @@ from ultranorm.sampling import norm_axiom_samples, random_scalar, random_vector
 
 from naive import hamming, one_norm, padic_abs, sup_norm
 
+Q2 = FieldSpec.parse("padic:2")
 Q3 = FieldSpec.parse("padic:3")
 Q5 = FieldSpec.parse("padic:5")
 F2 = FieldSpec.parse("gf:2")
@@ -198,3 +199,45 @@ def test_norm_axiom_sweep_clean():
             report = check_norm_axioms(spec, field, samples)
             assert report.ok, report.to_json_dict()["violations"][:3]
             assert report.checks > 0
+
+
+def test_one_norm_of_ones_over_padic_2():
+    # |1|_2 + |1|_2 = 2 = |1/2|_2; and |2|_2 + |2|_2 = 1, where the sum over
+    # the common denominator 2 is itself divisible by p
+    ones = Vector.parse(Q2, "1,1")
+    assert norm(ones, ONE) == 2 == valuation(Q2.scalar("1/2"))
+    assert distance(ones, Vector.zero(Q2, 2), ONE) == 2
+    assert distance(Vector.parse(Q2, "2,2"), Vector.zero(Q2, 2), ONE) == 1
+
+
+@pytest.mark.parametrize("field, x, y, spec, expected", [
+    (Q3, "0,9", "1/3,0", "one", Fraction(28, 9)),                      # zero coordinates
+    (Q3, "5,1/3", "5,2/3", "one", Fraction(3)),                        # equal coordinates
+    (Q3, "1/3,1/3", "2/9,4/3", "one", Fraction(10)),                   # both denominators divisible by p
+    (Q3, "1/3,1/3", "2/9,4/3", "sup", Fraction(9)),
+    (Q3, f"{3 ** 45},1/{3 ** 41}", "0,0", "one", Fraction(3 ** 86 + 1, 3 ** 45)),
+    (Q3, f"{3 ** 45},1/{3 ** 41}", "0,0", "sup", Fraction(3 ** 41)),
+    (Q3, f"{3 ** 45},1/{3 ** 41}", "0,0", f"wsup:{3 ** 90},1", Fraction(3 ** 45)),
+    (Q5, f"1/{5 ** 42},7", f"2/{5 ** 42},7", "one", Fraction(5 ** 42)),
+    (F3, "0,1,2", "0,2,2", "one", Fraction(1)),
+    (TQ, "1/3,0", "1/9,0", "sup", Fraction(1)),
+    (Q3, "1,2", "1,2", "one", Fraction(0)),
+    (Q3, "1,2", "1,2", "wsup:1,2", Fraction(0)),
+])
+def test_distance_kernel_edges(field, x, y, spec, expected):
+    x, y, spec = Vector.parse(field, x), Vector.parse(field, y), NormSpec.parse(spec)
+    got = distance(x, y, spec)
+    assert type(got) is Fraction and got == expected == distance(y, x, spec)
+    assert norm(x - y, spec) == expected
+
+
+def test_distance_kernel_keeps_its_typed_errors():
+    x = Vector.parse(Q3, "1,2,3")
+    with pytest.raises(FieldMismatchError):
+        distance(x, Vector.parse(Q5, "1,2,3"), ONE)
+    with pytest.raises(DimensionMismatchError):
+        distance(x, Vector.parse(Q3, "1,2"), SUP)
+    with pytest.raises(DimensionMismatchError):
+        distance(x, x, NormSpec.parse("wsup:1,2"))  # weight count checked even at x == y
+    with pytest.raises(DimensionMismatchError):
+        norm(Vector.zero(Q3, 3), NormSpec.parse("wsup:1,2"))
