@@ -21,6 +21,9 @@ from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
 
+# verify checks every pair of probes: 1024 probes at most
+VERIFY_CAP = 2 ** 20
+
 
 def _approx(text: str) -> str:
     try:
@@ -130,7 +133,10 @@ def _cmd_minimize(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    return verify_isometry(_read_probes(args.probes), args.norm).to_json_dict()
+    probes = _read_probes(args.probes)
+    size = len(probes.domain)
+    EnumerationTooLargeError.check(size, 2, VERIFY_CAP, f"{size} probes, squared")
+    return verify_isometry(probes, args.norm).to_json_dict()
 
 
 def _cmd_decompose(args) -> dict:
@@ -163,6 +169,8 @@ def _cmd_check_betweenness(args) -> dict:
 def _cmd_check_axioms(args) -> dict:
     import random
 
+    if args.samples < 0:
+        raise InvalidInputError(f"--samples must be nonnegative, got {args.samples}")
     dim = max(args.dim, 1) if args.norm is not None else 1  # only --norm draws vectors
     EnumerationTooLargeError.check(args.samples * dim, 1, betweenness.DEFAULT_ENUM_CAP,
                                    f"{args.samples} samples x {dim} coordinates")

@@ -1,12 +1,13 @@
 """Independent brute-force ground truth over finite fields.
 
 Everything here works by exhaustion: distance-preserving bijections of
-F_q^n are found by backtracking with incremental pairwise-distance pruning,
-betweenness is checked over all q**(3n) triples, and the found isometry sets
-are checked for group closure.  Structural facts (the taxicab isometry group
-is S_n permuting coordinates, a bijection of F_q per coordinate, and a
-translation, giving n! * (q!)**n maps) are verified against these
-enumerations, never assumed by them.
+F_q^n are found by a depth-first search that keeps, for each point and each
+distance, the bitset of points at that distance, and intersects them as
+points are placed; betweenness is checked over all q**(3n) triples, and the
+found isometry sets are checked for group closure.  Structural facts (the
+taxicab isometry group is S_n permuting coordinates, a bijection of F_q per
+coordinate, and a translation, giving n! * (q!)**n maps) are verified
+against these enumerations, never assumed by them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class EnumerationResult:
     centred: bool
     points: tuple[Vector, ...]
     isometries: tuple[tuple[int, ...], ...]   # image-index tuples, search order
-    attempts: int                             # candidate assignments tried
+    attempts: int                             # free candidates over all search nodes
     axial: int
     non_axial_witnesses: list = dc_field(default_factory=list)
     duration: float = 0.0
@@ -88,28 +89,46 @@ class EnumerationResult:
         return out
 
 
-def _search(points, dist, images, used, start, counter):
-    """Backtracking over image assignments in point order.
+def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """Depth-first search over image assignments in point order, on bitsets.
 
-    Yields complete image tuples; every pair was distance-checked on the way
-    down, so each yield is an isometry by construction.
+    Each distinct distance gets a small integer code, and ball[c][k] is the
+    bitset of points at code k from point c.  The candidates for point i are
+    the free points in ball[images[j]][code[i][j]] for every placed j < i,
+    walked in ascending order, so each found tuple is an isometry by
+    construction and the tuples come in lexicographic order.  Returns them
+    with the attempts: the free points at each node visited, that is every
+    candidate a pair-by-pair check would have tried.
     """
-    n_points = len(points)
-    if start == n_points:
-        yield tuple(images)
-        return
-    row = dist[start]
-    for cand in range(n_points):
-        if used[cand]:
-            continue
-        counter[0] += 1
-        cand_row = dist[cand]
-        if all(row[j] == cand_row[images[j]] for j in range(start)):
-            images.append(cand)
-            used[cand] = True
-            yield from _search(points, dist, images, used, start + 1, counter)
-            used[cand] = False
-            images.pop()
+    codes: dict = {}
+    code = [[codes.setdefault(d, len(codes)) for d in row] for row in dist]
+    ball = [[0] * len(codes) for _ in dist]
+    for c, row in enumerate(code):
+        for p, k in enumerate(row):
+            ball[c][k] |= 1 << p
+    found: list[tuple[int, ...]] = []
+    free = (1 << len(dist)) - 1 - sum(1 << c for c in images)
+    return found, _place(code, ball, images, free, found)
+
+
+def _place(code, ball, images: list[int], free: int, found: list) -> int:
+    """Extend `images` by every fitting image of the next point; return the
+    attempts made in this subtree."""
+    i = len(images)
+    attempts = len(code) - i
+    if i == len(code):
+        found.append(tuple(images))
+        return attempts
+    cands = free
+    for img, k in zip(images, code[i]):
+        cands &= ball[img][k]
+    while cands:
+        low = cands & -cands
+        images.append(low.bit_length() - 1)
+        attempts += _place(code, ball, images, free ^ low, found)
+        images.pop()
+        cands ^= low
+    return attempts
 
 
 def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
@@ -117,11 +136,11 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
                          cap: int | None = None) -> EnumerationResult:
     """Find every distance-preserving bijection of (F_q^n, spec) by search.
 
-    Incremental pruning rejects a partial assignment at its first violated
-    pairwise distance.  Each found bijection is then classified through
-    `decompose`: success means axial, failure is recorded with its witness.
-    Guarded by q**n <= cap (default 9, or 7 for the ultrametric sup and
-    weighted sup norms).
+    The bitset search (`_search`) places only images whose distances to
+    every image placed so far match.  Each found bijection is then
+    classified through `decompose`: success means axial, failure is
+    recorded with its witness.  Guarded by q**n <= cap (default 9, or 7
+    for the ultrametric sup and weighted sup norms).
     """
     if spec is None:
         spec = NormSpec.one()
@@ -133,18 +152,12 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     t0 = time.perf_counter()
     points = enumerate_space(field, n)
     dist = [[distance(x, y, spec) for y in points] for x in points]
-    images: list[int] = []
-    used = [False] * len(points)
-    if centred:
-        # lexicographic order puts the origin first; pin it
-        images.append(0)
-        used[0] = True
-    counter = [0]
-    perms = list(_search(points, dist, images, used, len(images), counter))
+    # lexicographic order puts the origin first; centred pins it
+    perms, attempts = _search(dist, [0] if centred else [])
 
     result = EnumerationResult(
         q=q, n=n, norm=spec, centred=centred, points=tuple(points),
-        isometries=tuple(perms), attempts=counter[0], axial=0)
+        isometries=tuple(perms), attempts=attempts, axial=0)
     for perm in perms:
         try:
             decompose(result.probe_map(perm))

@@ -231,10 +231,12 @@ def test_bug_exits_three_as_internal(capsys, monkeypatch):
      "enumeration-too-large", "0 samples x 1 coordinates"),
     (["check-axioms", "--field", "padic:3", "--norm", "one", "--dim", "1" + "0" * 1300],
      "enumeration-too-large", "500 samples x 1000"),
+    (["check-axioms", "--field", "padic:3", "--norm", "one", "--samples", "-5"],
+     "invalid-input", "--samples"),
 ], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
         "betweenness-n-huge", "segment-k-huge", "field-modulus-huge",
         "enumerate-q-huge", "result-past-digit-limit", "axioms-samples-huge",
-        "axioms-dim-huge"])
+        "axioms-dim-huge", "axioms-samples-negative"])
 def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, *argv)
@@ -261,6 +263,24 @@ def test_check_axioms_work_is_capped(capsys, extra, size, named):
     assert payload["error"]["type"] == "enumeration-too-large"
     assert named in payload["error"]["message"]
     assert (payload["error"]["size"], payload["error"]["cap"]) == (size, 2 ** 16)
+
+
+@pytest.mark.parametrize("probes", [1025, 2000])
+def test_verify_work_is_capped(capsys, monkeypatch, probes):
+    import io
+
+    pairs = [[[str(i)], [str(i)]] for i in range(probes)]
+    text = json.dumps({"field": "padic:3", "n": 1, "pairs": pairs})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "verify", "--norm", "one", "--probes", "-")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "enumeration-too-large",
+        "message": f"enumeration of {probes ** 2} elements exceeds cap 1048576 "
+                   f"({probes} probes, squared)",
+        "size": probes ** 2, "cap": 2 ** 20}
 
 
 def test_sup_enumeration_past_its_cap_is_refused_fast(capsys):

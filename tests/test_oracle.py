@@ -102,6 +102,29 @@ def test_enumeration_deterministic_with_pinned_attempts():
         assert enumerate_isometries(q, n, spec, centred=centred).attempts == attempts
 
 
+@pytest.mark.parametrize("q, n, spec, dist, centred", [
+    (2, 2, ONE, gf_one_dist(2), False),
+    (2, 2, SUP, gf_sup_dist(2), False),
+    (2, 2, ONE, gf_one_dist(2), True),
+    (2, 2, SUP, gf_sup_dist(2), True),
+    (3, 1, ONE, gf_one_dist(3), False),
+    (5, 1, ONE, gf_one_dist(5), False),
+    (7, 1, ONE, gf_one_dist(7), False),
+], ids=["F2^2-one", "F2^2-sup", "F2^2-one-centred", "F2^2-sup-centred", "F3^1", "F5^1",
+        "F7^1"])
+def test_search_order_matches_permutation_filter(q, n, spec, dist, centred):
+    # the filter walks itertools.permutations, so its order is lexicographic
+    expected = [p for p in isometries_by_filter(gf_space(q, n), dist)
+                if not centred or p[0] == 0]
+    assert enumerate_isometries(q, n, spec, centred=centred).isometries == tuple(expected)
+
+
+def test_attempts_pinned_on_the_largest_spaces():
+    # free candidates summed over every search node: what a pair-by-pair check tries
+    assert enumerate_isometries(3, 3, cap=27).attempts == 286659
+    assert enumerate_isometries(2, 4, cap=16).attempts == 31296
+
+
 def test_import_does_not_load_process_pool():
     code = "import sys, ultranorm; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

@@ -1,7 +1,7 @@
 """Property tests of scalar arithmetic against plain integer and Fraction math,
 of norms, distances and metric betweenness against the naive oracles, and of
-axial isometries: compose and inverse laws, decompose round trips and JSON
-round trips.
+axial isometries: compose and inverse laws, decompose round trips, JSON
+round trips, and the paper's main theorem on complete maps of small F_q^n.
 
 Every test runs a fixed number of derandomized examples with no example
 database, so the file is deterministic and takes a few seconds.
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from ultranorm import (
     AffineMap,
     AxialIsometry,
+    DecompositionError,
     FieldSpec,
     NormSpec,
     ParseError,
@@ -35,6 +36,7 @@ from ultranorm import (
     is_metrically_between,
     norm,
     valuation,
+    verify_isometry,
 )
 from ultranorm.sampling import probe_grid
 
@@ -338,6 +340,35 @@ def test_decompose_round_trip_rational_tables(field, n, data):
     assert rec.sigma == iso.sigma
     for x, y in zip(pm.domain, pm.images):
         assert rec.apply(x) == y
+
+
+@SETTINGS
+@given(space=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]),
+       kind=st.sampled_from(["axial", "perturbed", "random"]), data=st.data())
+def test_one_norm_isometries_are_exactly_the_axial_maps(space, kind, data):
+    # complete maps of F_q^n, q^n <= 9: axial maps, axial maps with two images
+    # swapped, and random bijections
+    q, n = space
+    points = enumerate_space(FieldSpec.gf(q), n)
+    if kind == "random":
+        images = data.draw(st.permutations(points))
+    else:
+        iso = data.draw(finite_isometries(q, n))
+        images = [iso.apply(x) for x in points]
+        if kind == "perturbed":
+            i, j = data.draw(st.lists(st.integers(0, len(points) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            images[i], images[j] = images[j], images[i]
+    m = ProbeMap(tuple(points), tuple(images), complete=True)
+    ok = verify_isometry(m, NormSpec.one()).ok
+    try:
+        rec = decompose(m)
+    except DecompositionError as exc:
+        assert not ok
+        assert exc.witness in list(zip(m.domain, m.images))
+    else:
+        assert ok
+        assert [rec.apply(x) for x in points] == list(images)
 
 
 def _through_json(obj):
