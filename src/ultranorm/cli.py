@@ -81,6 +81,8 @@ def _read_probes(source: str) -> ProbeMap:
         obj = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"probe input is not JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("probe input nests too deeply to parse") from None
     return ProbeMap.from_json(obj)
 
 

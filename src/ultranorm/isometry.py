@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 from .errors import (
     DecompositionError,
@@ -29,7 +28,7 @@ from .errors import (
     UnderdeterminedError,
 )
 from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, valuation
-from .spaces import NormSpec, Vector, distance, enumerate_space, norm
+from .spaces import NormSpec, Vector, distance, norm
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,10 @@ class TableMap:
         for a, b in self.entries:
             if a.field != fld or b.field != fld:
                 raise FieldMismatchError("table entries from different fields")
-        inputs = [a for a, _ in self.entries]
-        if len(set(inputs)) != len(inputs):
+        lookup = dict(self.entries)
+        if len(lookup) != len(self.entries):
             raise InvalidInputError("duplicate table inputs")
+        object.__setattr__(self, "_lookup", lookup)
         for (a, fa), (b, fb) in itertools.combinations(self.entries, 2):
             if fa == fb:
                 raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
@@ -117,10 +117,6 @@ class TableMap:
     @property
     def field(self) -> FieldSpec:
         return self.entries[0][0].field
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return {a: b for a, b in self.entries}
 
     def apply(self, a: Scalar) -> Scalar:
         try:
@@ -314,8 +310,10 @@ class ProbeMap:
                 raise FieldMismatchError("probe map mixes fields")
             if v.dim != n:
                 raise DimensionMismatchError("probe map mixes dimensions")
-        if len(set(self.domain)) != len(self.domain):
+        lookup = dict(zip(self.domain, self.images))
+        if len(lookup) != len(self.domain):
             raise InvalidInputError("duplicate probe points")
+        object.__setattr__(self, "_lookup", lookup)
         if self.complete:
             if fld.kind != GF:
                 raise InvalidInputError("complete probe maps exist only over finite fields")
@@ -339,10 +337,6 @@ class ProbeMap:
     @property
     def dim(self) -> int:
         return self.domain[0].dim
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(zip(self.domain, self.images))
 
     def image_of(self, x: Vector) -> Vector:
         try:
@@ -455,12 +449,9 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
             if len(report.collisions) < 10:
                 report.collisions.append((x, y, fx))
     if m.complete:
-        report.surjective = set(m.images) == set(enumerate_space(m.field, m.dim))
+        # q^n distinct probes whose images lie in F_q^n: onto iff one-to-one
+        report.surjective = report.injective
     return report
-
-
-def _nonzero_positions(v: Vector) -> list[int]:
-    return [i for i, c in enumerate(v.coords) if not c.is_zero]
 
 
 def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
@@ -495,46 +486,49 @@ def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
 def decompose(m: ProbeMap) -> AxialIsometry:
     """Recover the axial form of a taxicab isometry from its probe table.
 
-    Three stages: the axis probes' images, less the origin's image t, give
-    the axis-to-axis assignment; each scalar isometry is fitted from its axis
-    data; every probe is replayed through the candidate.  A probe
-    inconsistent with any axial form raises DecompositionError carrying that
-    probe; axes without usable probes raise UnderdeterminedError.
+    One pass over the (probe, image) pairs finds the origin's image t and
+    the axis probes.  Each axis probe's image differs from t on one axis,
+    which gives the axis-to-axis assignment; each scalar isometry is fitted
+    from its axis data; every probe is replayed through the candidate.  A
+    probe inconsistent with any axial form raises DecompositionError carrying
+    that probe; axes without usable probes raise UnderdeterminedError.
     """
     field, n = m.field, m.dim
-    try:
-        t = m.image_of(Vector.zero(field, n))
-    except OutsideDomainError:
-        raise InvalidInputError("probe domain must contain the origin") from None
+    t = None
+    axis_pairs: list[list[tuple[Vector, Vector]]] = [[] for _ in range(n)]
+    for x, img in zip(m.domain, m.images):
+        nz = [i for i, c in enumerate(x.coords) if not c.is_zero]
+        if not nz:
+            t = img
+        elif len(nz) == 1:
+            axis_pairs[nz[0]].append((x, img))
+    if t is None:
+        raise InvalidInputError("probe domain must contain the origin")
 
-    def failure(message: str, probe: Vector) -> DecompositionError:
-        return DecompositionError(message, witness=(probe, m.image_of(probe)))
-
-    axis_probes: list[list[Vector]] = [[] for _ in range(n)]
-    for x in m.domain:
-        nz = _nonzero_positions(x)
-        if len(nz) == 1:
-            axis_probes[nz[0]].append(x)
+    def failure(message: str, probe: Vector, image: Vector) -> DecompositionError:
+        return DecompositionError(message, witness=(probe, image))
 
     # sigma[j] is the input axis that lands on output axis j
     sigma: list[int | None] = [None] * n
     tau_data: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(n)]
-    for i, probes in enumerate(axis_probes):
-        if not probes:
+    for i, pairs in enumerate(axis_pairs):
+        if not pairs:
             raise UnderdeterminedError(f"axis {i} has no nonzero probes", i)
         target = None
-        for probe in probes:
-            image = m.image_of(probe) - t
-            nz = _nonzero_positions(image)
-            if len(nz) != 1:
-                raise failure(f"image of axis probe {probe} is not on a single axis", probe)
+        for probe, image in pairs:
+            moved = [j for j, (b, tj) in enumerate(zip(image.coords, t.coords)) if b != tj]
+            if len(moved) != 1:
+                raise failure(f"image of axis probe {probe} is not on a single axis",
+                              probe, image)
             if target is None:
-                target = nz[0]
-            elif nz[0] != target:
-                raise failure(f"axis {i} probes land on axes {target} and {nz[0]}", probe)
-            tau_data[target].append((probe.coords[i], image.coords[target]))
+                target = moved[0]
+            elif moved[0] != target:
+                raise failure(f"axis {i} probes land on axes {target} and {moved[0]}",
+                              probe, image)
+            tau_data[target].append(
+                (probe.coords[i], image.coords[target] - t.coords[target]))
         if sigma[target] is not None:
-            raise failure(f"two axes map onto axis {target}", probes[0])
+            raise failure(f"two axes map onto axis {target}", *pairs[0])
         sigma[target] = i
 
     taus = []
@@ -543,7 +537,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
             taus.append(_fit_tau(field, entries, axis=i))
         except InvalidInputError as exc:
             raise failure(f"axis {i} data fits no scalar isometry: {exc}",
-                          axis_probes[i][0]) from None
+                          *axis_pairs[i][0]) from None
 
     candidate = AxialIsometry(tuple(sigma), tuple(taus), t)
     # output coordinate j of a probe is tau_j(x[sigma[j]]) + t_j, computed
@@ -563,7 +557,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
             got.append(b)
         if tuple(got) != img.coords:
             raise failure(f"probe {x} maps to {img}, axial reconstruction gives "
-                          f"{Vector(field, tuple(got))}", x)
+                          f"{Vector(field, tuple(got))}", x, img)
     return candidate
 
 
@@ -575,9 +569,13 @@ def sphere_shift_map(e0: Vector, v0: Vector, probes,
     ultrametric norm with ||e0|| < ||v0|| this preserves all distances, yet
     it respects no axis structure, so feeding its probe table to `decompose`
     fails.  Requires a p-adic field: a trivial valuation admits no nonzero
-    e0 below another sup-norm value.
+    e0 below another sup-norm value.  A probe from another field or
+    dimension is refused before any norm is taken.
     """
     e0._check(v0)
+    pts = tuple(probes)
+    for x in pts:
+        e0._check(x)
     if not spec.ultrametric:
         raise HypothesisError(f"sphere shift needs an ultrametric norm, got {spec}")
     if e0.field.kind != PADIC:
@@ -588,6 +586,5 @@ def sphere_shift_map(e0: Vector, v0: Vector, probes,
         raise HypothesisError(
             f"need ||e0|| < ||v0||, got {norm(e0, spec)} >= {norm(v0, spec)}")
     target = norm(v0, spec)
-    pts = tuple(probes)
     images = tuple(x + e0 if norm(x, spec) == target else x for x in pts)
     return ProbeMap(pts, images, complete=False)

@@ -98,7 +98,8 @@ def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     walked in ascending order, so each found tuple is an isometry by
     construction and the tuples come in lexicographic order.  Returns them
     with the attempts: the free points at each node visited, that is every
-    candidate a pair-by-pair check would have tried.
+    candidate a pair-by-pair check would have tried.  The search keeps its
+    own stack, so its depth is not bounded by Python's recursion limit.
     """
     codes: dict = {}
     code = [[codes.setdefault(d, len(codes)) for d in row] for row in dist]
@@ -106,29 +107,30 @@ def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     for c, row in enumerate(code):
         for p, k in enumerate(row):
             ball[c][k] |= 1 << p
+    n_points, root = len(code), len(images)
     found: list[tuple[int, ...]] = []
-    free = (1 << len(dist)) - 1 - sum(1 << c for c in images)
-    return found, _place(code, ball, images, free, found)
-
-
-def _place(code, ball, images: list[int], free: int, found: list) -> int:
-    """Extend `images` by every fitting image of the next point; return the
-    attempts made in this subtree."""
-    i = len(images)
-    attempts = len(code) - i
-    if i == len(code):
-        found.append(tuple(images))
-        return attempts
-    cands = free
-    for img, k in zip(images, code[i]):
-        cands &= ball[img][k]
-    while cands:
+    free = (1 << n_points) - 1 - sum(1 << c for c in images)
+    attempts = 0
+    untried: list[int] = []   # untried[d]: candidates left where images[root + d] was placed
+    while True:
+        i = len(images)
+        attempts += n_points - i
+        if i == n_points:
+            found.append(tuple(images))
+            cands = 0
+        else:
+            cands = free
+            for img, k in zip(images, code[i]):
+                cands &= ball[img][k]
+        while not cands:
+            if len(images) == root:
+                return found, attempts
+            free |= 1 << images.pop()
+            cands = untried.pop()
         low = cands & -cands
+        untried.append(cands ^ low)
         images.append(low.bit_length() - 1)
-        attempts += _place(code, ball, images, free ^ low, found)
-        images.pop()
-        cands ^= low
-    return attempts
+        free ^= low
 
 
 def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,

@@ -323,6 +323,37 @@ def test_probe_integer_past_digit_limit_is_parse_error(capsys, monkeypatch):
     assert "4300 digits" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--norm", "one"],
+    ["decompose"],
+    ["counterexample", "--field", "padic:3", "--e0", "1,0", "--v0", "1/3,0"],
+], ids=["verify", "decompose", "counterexample"])
+def test_deeply_nested_probe_input_is_parse_error(capsys, monkeypatch, argv):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    code, payload = run_json(capsys, *argv, "--probes", "-")
+    assert code == 1
+    assert payload["error"] == {
+        "type": "parse", "message": "probe input nests too deeply to parse"}
+
+
+@pytest.mark.parametrize("field, pairs, kind", [
+    ("gf:2", [[["0", "0"], ["0", "0"]], [["1", "0"], ["1", "0"]]], "field-mismatch"),
+    ("padic:3", [[["0", "0", "0"], ["0", "0", "0"]], [["1", "0", "0"], ["1", "0", "0"]]],
+     "dimension-mismatch"),
+], ids=["gf2-probes", "3-dim-probes"])
+def test_counterexample_rejects_probes_from_another_space(capsys, monkeypatch,
+                                                          field, pairs, kind):
+    import io
+
+    text = json.dumps({"field": field, "n": len(pairs[0][0]), "pairs": pairs})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, payload = run_json(capsys, "counterexample", "--field", "padic:3",
+                             "--e0", "1,0", "--v0", "1/3,0", "--probes", "-")
+    assert code == 1 and payload["error"]["type"] == kind
+
+
 def test_text_format(capsys):
     code, out = run(capsys, "norm", "--field", "padic:3", "--norm", "one",
                     "--vec", "9,1/3", "--format", "text")

@@ -9,6 +9,8 @@ from ultranorm import (
     AffineMap,
     AxialIsometry,
     DecompositionError,
+    DimensionMismatchError,
+    FieldMismatchError,
     FieldSpec,
     HypothesisError,
     InvalidInputError,
@@ -502,3 +504,12 @@ def test_sphere_shift_hypothesis_checks():
         sphere_shift_map(_v(f2, "1,0"), _v(f2, "1,1"), [])
     with pytest.raises(HypothesisError):
         sphere_shift_map(_v(Q3, "3,0"), _v(Q3, "1,0"), [], spec=ONE)  # not ultrametric
+
+
+def test_sphere_shift_rejects_probes_from_another_field_or_dimension():
+    e0, v0 = _v(Q3, "1,0"), _v(Q3, "1/3,0")
+    with pytest.raises(FieldMismatchError, match="^mixing padic:3 with gf:2$"):
+        sphere_shift_map(e0, v0, [_v(F2, "0,0"), _v(F2, "1,0")])
+    # no probe lies on the sphere ||x|| = 3, so no sum would have caught these
+    with pytest.raises(DimensionMismatchError, match="^dimension 2 vs 3$"):
+        sphere_shift_map(e0, v0, [_v(Q3, "0,0"), _v(Q3, "0,0,0"), _v(Q3, "1,0,0")])

@@ -21,7 +21,7 @@ from ultranorm import (
     exhaustive_betweenness_check,
     group_closure_check,
 )
-from ultranorm.oracle import EnumerationResult
+from ultranorm.oracle import EnumerationResult, _search
 
 from naive import gf_one_dist, gf_space, gf_sup_dist, isometries_by_filter, wreath_order
 
@@ -179,6 +179,14 @@ def test_betweenness_triple_cap():
     with pytest.raises(EnumerationTooLargeError) as err:
         exhaustive_betweenness_check(5, 3, cap=10**5)
     assert err.value.size == 125**3
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # points 0..1099 on a line with |i - j|: fixing 0 leaves only the identity
+    size = 1100
+    found, attempts = _search([[abs(i - j) for j in range(size)] for i in range(size)], [0])
+    assert found == [tuple(range(size))]
+    assert attempts == (size - 1) * size // 2
 
 
 def test_group_closure_of_enumerated_sets():

@@ -1,7 +1,8 @@
 """Property tests of scalar arithmetic against plain integer and Fraction math,
 of norms, distances and metric betweenness against the naive oracles, and of
 axial isometries: compose and inverse laws, decompose round trips, JSON
-round trips, and the paper's main theorem on complete maps of small F_q^n.
+round trips, and the paper's main theorem on complete maps of small F_q^n;
+and of the command line, driven with hostile argvs.
 
 Every test runs a fixed number of derandomized examples with no example
 database, so the file is deterministic and takes a few seconds.
@@ -9,9 +10,13 @@ database, so the file is deterministic and takes a few seconds.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -38,6 +43,7 @@ from ultranorm import (
     valuation,
     verify_isometry,
 )
+from ultranorm.cli import main
 from ultranorm.sampling import probe_grid
 
 from naive import metric_between, one_norm, padic_abs, sup_norm, trivial_abs
@@ -394,3 +400,96 @@ def test_probe_map_json_round_trip(field, n, size, data):
     finite = ProbeMap.from_isometry(data.draw(finite_isometries(q, n)),
                                     enumerate_space(FieldSpec.gf(q), n), complete=True)
     assert ProbeMap.from_json(_through_json(finite.to_json_dict())) == finite
+
+
+# -- argv fuzzing: hostile command lines exit 0, 1 or 2, never 3, and fast ------
+
+FIELD_TOKENS = ["padic:3", "padic:2", "gf:2", "gf:3", "trivial:q", "gf:4", "padic:1", "gf:0",
+                "gf:-3", "gf:x", "padic:4294967291", "gf:4294967311", "padic:" + "9" * 5000,
+                "", ":", "trivial:7", "PADIC:3"]
+NORM_TOKENS = ["one", "sup", "wsup:1,2", "wsup:1/2,3", "wsup:0,1", "wsup:-1,1", "wsup:1/0",
+               "wsup:", "wsup:nan,1", "wsup:1e400", "wsup:" + "9" * 5000, "two", ""]
+VECTOR_TOKENS = ["1,0", "1/3,0", "0,0", "3,9", "-2/9,27", "1", "0", "1,2,3", "", ",", "1,,2",
+                 "1/0,1", "nan,1", "inf", "0.5,1", "1e5,1", "9" * 5000 + ",1",
+                 "1/" + "9" * 5000, "3" * 4000 + ",1", ",".join(["1"] * 13),
+                 ",".join(["1"] * 20000), ",".join(["0"] * 20000)]
+# a cap or space size that lets through a legitimately long run (say q^n = 9
+# under sup, or 2^16 axiom samples) is left out: the 1 s bound is for refusals
+Q_TOKENS = ["2", "3", "4", "1", "0", "-3", "1000000", "4294967311", "x"]
+N_TOKENS = ["1", "2", "0", "-1", "200", "9" * 5000]
+CAP_TOKENS = ["-1", "0", "1", "4", "1.5"]
+DIM_TOKENS = ["-1", "0", "1", "3", "1" + "0" * 30]
+SAMPLES_TOKENS = ["-5", "0", "1", "40", "65537", "1" + "0" * 30, "x"]
+SEED_TOKENS = ["0", "7", "-1", "9" * 30]
+VALUES_TOKENS = ["0,1,2", "0,1,1/3,2/3,3,4/3", "", "x", "1/0", ",".join(map(str, range(300)))]
+PROBE_TEXTS = [
+    json.dumps({"field": "gf:2", "n": 2, "complete": True, "pairs": [
+        [[a, b], [a, b]] for a in "01" for b in "01"]}),
+    json.dumps({"field": "padic:3", "n": 2, "pairs": [
+        [["0", "0"], ["0", "0"]], [["1", "0"], ["1", "0"]], [["0", "1"], ["0", "1"]],
+        [["1", "1"], ["1", "2"]]]}),
+    json.dumps({"field": "gf:2", "n": 1, "pairs": [[["0"], ["0"]], [["0"], ["1"]]]}),
+    json.dumps({"field": "padic:3", "n": 1, "pairs": [
+        [[str(i)], [str(i)]] for i in range(1025)]}),
+    '{"field":"gf:2","n":2,"pairs":[],"complete":true}',
+    '{"field":"gf:2","n":1,"pairs":[' + "[" * 900 + "]" * 900 + "]}",
+    "[" * 100000 + "]" * 100000,
+    '{"field":"padic:3","n":1,"pairs":[[[' + "1" * 5000 + '],["1"]]]}',
+    '{"field":"padic:3","n":1,"pairs":[[[0.5],["1"]]]}',
+    '{"field":"gf:4","n":1,"pairs":[]}',
+    '{"field":"padic:3","n":true,"pairs":[]}',
+    "", "null", "{}", "[]", '"x"', "{" * 1000,
+]
+PROBES_TOKENS = ["-", "-", "-", "", "no-such-probes.json"]
+SWITCH = [None, "on"]  # in every token list, None leaves the flag out
+
+CLI_FLAGS = {
+    "norm": [("--field", FIELD_TOKENS), ("--norm", NORM_TOKENS), ("--vec", VECTOR_TOKENS)],
+    "distance": [("--field", FIELD_TOKENS), ("--norm", NORM_TOKENS),
+                 ("--x", VECTOR_TOKENS), ("--y", VECTOR_TOKENS)],
+    "between": [("--field", FIELD_TOKENS), ("--x", VECTOR_TOKENS), ("--z", VECTOR_TOKENS),
+                ("--y", VECTOR_TOKENS)],
+    "segment": [("--field", FIELD_TOKENS), ("--x", VECTOR_TOKENS), ("--y", VECTOR_TOKENS),
+                ("--cap", [None] + CAP_TOKENS)],
+    "minimize": [("--field", FIELD_TOKENS), ("--a", VECTOR_TOKENS), ("--c", VECTOR_TOKENS),
+                 ("--cap", [None] + CAP_TOKENS)],
+    "verify": [("--norm", NORM_TOKENS), ("--probes", PROBES_TOKENS)],
+    "decompose": [("--probes", PROBES_TOKENS)],
+    "counterexample": [("--field", FIELD_TOKENS), ("--e0", VECTOR_TOKENS),
+                       ("--v0", VECTOR_TOKENS), ("--norm", [None] + NORM_TOKENS),
+                       ("--probes", [None] + PROBES_TOKENS),
+                       ("--values", [None] + VALUES_TOKENS)],
+    "enumerate": [("--q", Q_TOKENS), ("--n", N_TOKENS), ("--norm", [None] + NORM_TOKENS),
+                  ("--centred", SWITCH), ("--cap", [None] + CAP_TOKENS),
+                  ("--timing", SWITCH)],
+    "check-betweenness": [("--q", Q_TOKENS), ("--n", N_TOKENS),
+                          ("--cap", [None] + CAP_TOKENS), ("--timing", SWITCH)],
+    "check-axioms": [("--field", FIELD_TOKENS), ("--norm", [None] + NORM_TOKENS),
+                     ("--dim", [None] + DIM_TOKENS), ("--samples", [None] + SAMPLES_TOKENS),
+                     ("--seed", [None] + SEED_TOKENS)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), stdin=st.sampled_from(PROBE_TEXTS))
+def test_hostile_argv_exits_zero_one_or_two_fast(command, data, stdin):
+    argv = [command]
+    for flag, tokens in CLI_FLAGS[command]:
+        token = data.draw(st.sampled_from(tokens))
+        if token is not None:
+            # --flag=value, so that values starting with "-" reach the parser
+            argv.append(flag if tokens is SWITCH else f"{flag}={token}")
+    if data.draw(st.integers(0, 2)) == 0:
+        argv.append(f"--format={data.draw(st.sampled_from(['json', 'text', 'xml']))}")
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2), err.getvalue()[-2000:]
+    assert elapsed < 1.0
