@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, EnumerationTooLargeError, InvalidInputError
+from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
+                     InvalidInputError)
 from .fields import Magnitude
 from .spaces import NormSpec, Vector, distance
 
 _ONE = NormSpec.one()
-
-DEFAULT_ENUM_CAP = 2 ** 16
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
-from .errors import EnumerationTooLargeError, InvalidInputError, ParseError, UltranormError
+from .errors import (DEFAULT_ENUM_CAP, VERIFY_CAP, EnumerationTooLargeError, InvalidInputError,
+                     ParseError, UltranormError, quoted)
 from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
-
-# verify checks every pair of probes: 1024 probes at most
-VERIFY_CAP = 2 ** 20
 
 
 def _approx(text: str) -> str:
@@ -76,7 +75,8 @@ def _read_probes(source: str) -> ProbeMap:
             with open(source, "r", encoding="utf-8") as handle:
                 raw = handle.read()
         except OSError as exc:
-            raise ParseError(f"cannot read probe file {source!r}: {exc}") from None
+            raise ParseError(
+                f"cannot read probe file {quoted(source)}: {exc.strerror}") from None
     try:
         obj = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -169,12 +169,12 @@ def _cmd_check_betweenness(args) -> dict:
 
 
 def _cmd_check_axioms(args) -> dict:
-    import random
-
     if args.samples < 0:
         raise InvalidInputError(f"--samples must be nonnegative, got {args.samples}")
-    dim = max(args.dim, 1) if args.norm is not None else 1  # only --norm draws vectors
-    EnumerationTooLargeError.check(args.samples * dim, 1, betweenness.DEFAULT_ENUM_CAP,
+    if args.norm is not None and args.dim < 1:
+        raise InvalidInputError(f"--dim must be at least 1, got {args.dim}")
+    dim = args.dim if args.norm is not None else 1  # only --norm draws vectors
+    EnumerationTooLargeError.check(args.samples * dim, 1, DEFAULT_ENUM_CAP,
                                    f"{args.samples} samples x {dim} coordinates")
     rng = random.Random(args.seed)
     pairs = [

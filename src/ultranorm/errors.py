@@ -11,6 +11,33 @@ from __future__ import annotations
 # never formed (nor printed past Python's int -> str digit limit).
 _MAX_SIZE_BITS = 4096
 
+DEFAULT_ENUM_CAP = 2 ** 16     # segment points, sample grids, check-axioms samples
+DEFAULT_SPACE_CAP = 9          # points; (q^n)! bijections would dwarf anything larger
+# Under sup every bijection of F_q^n is an isometry, so the search visits all
+# (q^n)! of them: 7! = 5040, the most a one-norm search reaches at its cap.
+DEFAULT_ULTRAMETRIC_SPACE_CAP = 7
+DEFAULT_TRIPLE_CAP = 10 ** 7   # betweenness triples
+# verify checks every pair of probes: 1024 probes at most
+VERIFY_CAP = 2 ** 20
+
+# Reports keep this many witnesses of each kind and count the rest.
+WITNESS_LIMIT = 10
+
+# An error message quotes at most this many characters of a rejected value.
+_QUOTE_CHARS = 200
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, bounded however large the value is.
+
+    A repr longer than _QUOTE_CHARS characters is cut there and followed by
+    its full length.
+    """
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
+
 
 class UltranormError(Exception):
     """Base class for all domain errors raised by this package."""

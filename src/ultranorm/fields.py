@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InvalidInputError, ParseError
+from .errors import FieldMismatchError, InvalidInputError, ParseError, quoted
 
 # Norm/valuation values: exact nonnegative rationals, closed under + and max.
 Magnitude = Fraction
@@ -65,7 +65,7 @@ class FieldSpec:
         else:
             if self.prime is not None and self.prime > _MAX_MODULUS:
                 raise InvalidInputError(
-                    f"{self.kind} modulus {self.prime} exceeds the bound 2^32")
+                    f"{self.kind} modulus {quoted(self.prime)} exceeds the bound 2^32")
             if self.prime is None or not is_prime(self.prime):
                 raise InvalidInputError(f"{self.kind} modulus must be prime, got {self.prime}")
 
@@ -85,7 +85,7 @@ class FieldSpec:
     def parse(cls, text: str) -> "FieldSpec":
         """Parse the textual forms "padic:3", "gf:5", "trivial:q"."""
         if not isinstance(text, str):
-            raise ParseError(f"field tag must be a string, got {text!r}")
+            raise ParseError(f"field tag must be a string, got {quoted(text)}")
         head, sep, tail = text.strip().partition(":")
         if head == TRIVIAL and (not sep or tail == "q"):
             return cls.trivial()
@@ -93,12 +93,12 @@ class FieldSpec:
             try:
                 modulus = int(tail)
             except ValueError:
-                raise ParseError(f"bad field modulus {tail!r} in {text!r}") from None
+                raise ParseError(f"bad field modulus {quoted(tail)} in {quoted(text)}") from None
             try:
                 return cls(head, modulus)
             except InvalidInputError as exc:
                 raise ParseError(str(exc)) from None
-        raise ParseError(f"bad field tag {text!r} (expected padic:p, gf:q or trivial:q)")
+        raise ParseError(f"bad field tag {quoted(text)} (expected padic:p, gf:q or trivial:q)")
 
     def __str__(self) -> str:
         if self.kind == TRIVIAL:
@@ -119,7 +119,7 @@ class FieldSpec:
                 value = int(token) if self.kind == GF else Fraction(token)
             except (ValueError, ZeroDivisionError):
                 what = "residue" if self.kind == GF else "rational"
-                raise ParseError(f"bad {what} {token!r} for {self}") from None
+                raise ParseError(f"bad {what} {quoted(token)} for {self}") from None
         return Scalar(self, value)
 
     @property
@@ -161,7 +161,7 @@ class Scalar:
                     raise ParseError(f"non-integer value {value} in {field}")
                 value = value.numerator % field.prime
         else:
-            raise ParseError(f"{kind.__name__} {value!r} is not an exact scalar of {field}")
+            raise ParseError(f"{kind.__name__} {quoted(value)} is not an exact scalar of {field}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
 

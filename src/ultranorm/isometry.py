@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
+    WITNESS_LIMIT,
     DecompositionError,
     DimensionMismatchError,
     FieldMismatchError,
@@ -26,6 +27,7 @@ from .errors import (
     OutsideDomainError,
     ParseError,
     UnderdeterminedError,
+    quoted,
 )
 from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, valuation
 from .spaces import NormSpec, Vector, distance, norm
@@ -39,8 +41,7 @@ class AffineMap:
     c: Scalar
 
     def __post_init__(self):
-        if self.u.field != self.c.field:
-            raise FieldMismatchError("affine map coefficients from different fields")
+        self.u._check(self.c)
         if valuation(self.u) != 1:
             raise InvalidInputError(
                 f"affine slope must be a unit, |{self.u}| = {valuation(self.u)}")
@@ -85,7 +86,8 @@ class TableMap:
         fld = self.entries[0][0].field
         for a, b in self.entries:
             if a.field != fld or b.field != fld:
-                raise FieldMismatchError("table entries from different fields")
+                self.entries[0][0]._check(a)
+                self.entries[0][0]._check(b)
         lookup = dict(self.entries)
         if len(lookup) != len(self.entries):
             raise InvalidInputError("duplicate table inputs")
@@ -149,23 +151,23 @@ ScalarIsometry = AffineMap | TableMap
 
 def scalar_isometry_from_json(field: FieldSpec, obj) -> ScalarIsometry:
     if not isinstance(obj, dict):
-        raise ParseError(f"bad scalar isometry object {obj!r}")
+        raise ParseError(f"bad scalar isometry object {quoted(obj)}")
     if "affine" in obj:
         coeffs = obj["affine"]
         if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 2):
-            raise ParseError(f"affine map needs [u, c], got {coeffs!r}")
+            raise ParseError(f"affine map needs [u, c], got {quoted(coeffs)}")
         return AffineMap(field.scalar(coeffs[0]), field.scalar(coeffs[1]))
     if "table" in obj:
         table = obj["table"]
         if not isinstance(table, (list, tuple)):
-            raise ParseError(f"scalar isometry table must be a list, got {table!r}")
+            raise ParseError(f"scalar isometry table must be a list, got {quoted(table)}")
         if field.kind == GF:
             return TableMap.from_residues(field, table)
         for entry in table:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ParseError(f"table entry must be a pair [a, b], got {entry!r}")
+                raise ParseError(f"table entry must be a pair [a, b], got {quoted(entry)}")
         return TableMap.from_pairs(field, table)
-    raise ParseError(f"scalar isometry needs 'affine' or 'table', got {sorted(obj)}")
+    raise ParseError(f"scalar isometry needs 'affine' or 'table', got {quoted(sorted(obj))}")
 
 
 def _compose_scalar(outer: ScalarIsometry, inner: ScalarIsometry,
@@ -237,10 +239,7 @@ class AxialIsometry:
 
     def compose(self, other: "AxialIsometry") -> "AxialIsometry":
         """self after other: apply(compose, x) = self.apply(other.apply(x))."""
-        if other.field != self.field:
-            raise FieldMismatchError("composing isometries over different fields")
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
+        self.translation._check(other.translation)
         sigma = tuple(other.sigma[s] for s in self.sigma)
         taus = tuple(
             _compose_scalar(tau, other.taus[s], other.translation.coords[s])
@@ -277,10 +276,10 @@ class AxialIsometry:
         field = FieldSpec.parse(obj["field"])
         for key in keys[1:]:
             if not isinstance(obj[key], (list, tuple)):
-                raise ParseError(f"axial isometry {key} must be a list, got {obj[key]!r}")
+                raise ParseError(f"axial isometry {key} must be a list, got {quoted(obj[key])}")
         for s in obj["sigma"]:
             if type(s) is not int:
-                raise ParseError(f"axial isometry sigma entry must be an integer, got {s!r}")
+                raise ParseError(f"axial isometry sigma entry must be an integer, got {quoted(s)}")
         return cls(tuple(obj["sigma"]),
                    tuple(scalar_isometry_from_json(field, t) for t in obj["taus"]),
                    Vector.make(field, obj["translation"]))
@@ -306,10 +305,8 @@ class ProbeMap:
                 f"{len(self.domain)} domain points vs {len(self.images)} images")
         fld, n = self.domain[0].field, self.domain[0].dim
         for v in itertools.chain(self.domain, self.images):
-            if v.field != fld:
-                raise FieldMismatchError("probe map mixes fields")
-            if v.dim != n:
-                raise DimensionMismatchError("probe map mixes dimensions")
+            if v.field != fld or v.dim != n:   # the fast test; _check raises
+                self.domain[0]._check(v)
         lookup = dict(zip(self.domain, self.images))
         if len(lookup) != len(self.domain):
             raise InvalidInputError("duplicate probe points")
@@ -364,21 +361,21 @@ class ProbeMap:
         except (KeyError, TypeError):
             raise ParseError("bad probe map object (need field, n, pairs)") from None
         if type(n) is not int:
-            raise ParseError(f"probe map n must be an integer, got {n!r}")
+            raise ParseError(f"probe map n must be an integer, got {quoted(n)}")
         if not isinstance(pairs, (list, tuple)):
-            raise ParseError(f"probe map pairs must be a list, got {pairs!r}")
+            raise ParseError(f"probe map pairs must be a list, got {quoted(pairs)}")
         if not isinstance(complete, bool):
-            raise ParseError(f"probe map complete must be true or false, got {complete!r}")
+            raise ParseError(f"probe map complete must be true or false, got {quoted(complete)}")
         domain, images = [], []
         for pair in pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and all(isinstance(v, (list, tuple)) for v in pair)):
-                raise ParseError(f"bad probe pair {pair!r}")
+                raise ParseError(f"bad probe pair {quoted(pair)}")
             x, y = pair
             domain.append(Vector.make(field, x))
             images.append(Vector.make(field, y))
             if domain[-1].dim != n or images[-1].dim != n:
-                raise ParseError(f"probe pair {pair!r} is not {n}-dimensional")
+                raise ParseError(f"probe pair {quoted(pair)} is not {n}-dimensional")
         return cls(tuple(domain), tuple(images), complete)
 
 
@@ -389,8 +386,8 @@ class IsometryReport:
     norm: str
     probes: int
     pairs_checked: int = 0
-    distance_violations: list = dc_field(default_factory=list)   # the first 10
-    collisions: list = dc_field(default_factory=list)            # the first 10
+    distance_violations: list = dc_field(default_factory=list)   # the first WITNESS_LIMIT
+    collisions: list = dc_field(default_factory=list)            # the first WITNESS_LIMIT
     surjective: bool | None = None
     violation_count: int = 0
     collision_count: int = 0
@@ -432,7 +429,7 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     """Check distance preservation and injectivity over all probe pairs.
 
     Violations are report content, never exceptions: all are counted, the
-    first 10 of each kind are kept.  When the probe map is complete,
+    first WITNESS_LIMIT of each kind are kept.  When the probe map is complete,
     surjectivity onto the finite space is checked as well.
     """
     report = IsometryReport(norm=str(spec), probes=len(m.domain))
@@ -442,11 +439,11 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
         report.pairs_checked += 1
         if d_dom != d_img:
             report.violation_count += 1
-            if len(report.distance_violations) < 10:
+            if len(report.distance_violations) < WITNESS_LIMIT:
                 report.distance_violations.append((x, y, d_dom, d_img))
         if fx == fy:
             report.collision_count += 1
-            if len(report.collisions) < 10:
+            if len(report.collisions) < WITNESS_LIMIT:
                 report.collisions.append((x, y, fx))
     if m.complete:
         # q^n distinct probes whose images lie in F_q^n: onto iff one-to-one

@@ -17,16 +17,11 @@ from dataclasses import dataclass, field as dc_field
 from math import factorial
 
 from .betweenness import coordinate_between, is_metrically_between
-from .errors import EnumerationTooLargeError
+from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
+                     WITNESS_LIMIT, EnumerationTooLargeError)
 from .fields import FieldSpec
 from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decompose
 from .spaces import NormSpec, Vector, distance, enumerate_space
-
-DEFAULT_SPACE_CAP = 9          # points; (q^n)! bijections would dwarf anything larger
-# Under sup every bijection of F_q^n is an isometry, so the search visits all
-# (q^n)! of them: 7! = 5040, the most a one-norm search reaches at its cap.
-DEFAULT_ULTRAMETRIC_SPACE_CAP = 7
-DEFAULT_TRIPLE_CAP = 10 ** 7   # betweenness triples
 
 
 def axial_isometry_count(q: int, n: int, centred: bool = False) -> int:
@@ -222,7 +217,7 @@ def exhaustive_betweenness_check(q: int, n: int,
                 report.triples += 1
                 if metric != coord:
                     report.mismatches += 1
-                    if len(report.first_mismatches) < 10:
+                    if len(report.first_mismatches) < WITNESS_LIMIT:
                         report.first_mismatches.append((x, z, y, metric, coord))
     report.duration = time.perf_counter() - t0
     return report
@@ -251,7 +246,7 @@ class ClosureReport:
             "inverses_ok": self.inverses_ok,
             "compositions_checked": self.compositions_checked,
             "ok": self.ok,
-            "missing": self.missing[:10],
+            "missing": self.missing,
         }
 
 
@@ -271,13 +266,13 @@ def group_closure_check(result: EnumerationResult) -> ClosureReport:
             inv[fi] = i
         if tuple(inv) not in perms:
             report.inverses_ok = False
-            if len(report.missing) < 10:
+            if len(report.missing) < WITNESS_LIMIT:
                 report.missing.append({"inverse_of": list(f)})
         for g in result.isometries:
             comp = tuple(f[g[i]] for i in range(n_points))
             report.compositions_checked += 1
             if comp not in perms:
                 report.closed = False
-                if len(report.missing) < 10:
+                if len(report.missing) < WITNESS_LIMIT:
                     report.missing.append({"compose": [list(f), list(g)]})
     return report

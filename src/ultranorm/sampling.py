@@ -11,17 +11,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from .betweenness import DEFAULT_ENUM_CAP
-from .errors import EnumerationTooLargeError, InvalidInputError
+from .errors import DEFAULT_ENUM_CAP, EnumerationTooLargeError, InvalidInputError
 from .fields import GF, PADIC, FieldSpec, Scalar
 from .isometry import AffineMap, AxialIsometry, ScalarIsometry, TableMap
 from .spaces import Vector
 
 
-def random_scalar(field: FieldSpec, rng: random.Random, span: int = 3,
+def random_scalar(field: FieldSpec, rng: random.Random,
                   nonzero: bool = False, unit: bool = False) -> Scalar:
     """A random field element; `unit` forces valuation 1 (rational fields:
-    numerator and denominator coprime to p)."""
+    numerator and denominator coprime to p).  Other p-adic values carry a
+    factor p**e with e drawn from -3..3."""
     if field.kind == GF:
         lo = 1 if (nonzero or unit) else 0
         return Scalar(field, rng.randrange(lo, field.prime))
@@ -36,13 +36,12 @@ def random_scalar(field: FieldSpec, rng: random.Random, span: int = 3,
         break
     value = Fraction(num, den)
     if field.kind == PADIC and not unit:
-        value *= Fraction(p) ** rng.randint(-span, span)
+        value *= Fraction(p) ** rng.randint(-3, 3)
     return Scalar(field, value)
 
 
-def random_vector(field: FieldSpec, n: int, rng: random.Random,
-                  span: int = 3) -> Vector:
-    return Vector(field, tuple(random_scalar(field, rng, span) for _ in range(n)))
+def random_vector(field: FieldSpec, n: int, rng: random.Random) -> Vector:
+    return Vector(field, tuple(random_scalar(field, rng) for _ in range(n)))
 
 
 def norm_axiom_samples(field: FieldSpec, n: int, count: int,

@@ -22,6 +22,7 @@ from .errors import (
     FieldMismatchError,
     InvalidInputError,
     ParseError,
+    quoted,
 )
 from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _multiplicity,
                      valuation)
@@ -58,7 +59,7 @@ class Vector:
         """Parse the comma-separated form, e.g. "9,1/3"."""
         parts = text.split(",")
         if not any(p.strip() for p in parts):
-            raise ParseError(f"empty vector literal {text!r}")
+            raise ParseError(f"empty vector literal {quoted(text)}")
         return cls.make(field, parts)
 
     @classmethod
@@ -68,9 +69,9 @@ class Vector:
             field = FieldSpec.parse(obj["field"])
             coords = obj["coords"]
         except (KeyError, TypeError):
-            raise ParseError(f"bad vector object {obj!r}") from None
+            raise ParseError(f"bad vector object {quoted(obj)}") from None
         if not isinstance(coords, (list, tuple)):
-            raise ParseError(f"vector coords must be a list, got {coords!r}")
+            raise ParseError(f"vector coords must be a list, got {quoted(coords)}")
         return cls.make(field, coords)
 
     def to_json(self) -> dict:
@@ -98,8 +99,7 @@ class Vector:
         return Vector(self.field, tuple(-a for a in self.coords))
 
     def scale(self, lam: Scalar) -> "Vector":
-        if lam.field != self.field:
-            raise FieldMismatchError(f"scalar from {lam.field} scaling {self.field} vector")
+        """lam * self; a lam from another field fails in Scalar._check."""
         return Vector(self.field, tuple(lam * a for a in self.coords))
 
     def __str__(self) -> str:
@@ -143,7 +143,7 @@ class NormSpec:
     def parse(cls, text: str) -> "NormSpec":
         """Parse "one", "sup", or "wsup:w1,w2,..."."""
         if not isinstance(text, str):
-            raise ParseError(f"norm tag must be a string, got {text!r}")
+            raise ParseError(f"norm tag must be a string, got {quoted(text)}")
         head, sep, tail = text.strip().partition(":")
         if head in (ONE, SUP) and not sep:
             return cls(head)
@@ -151,8 +151,8 @@ class NormSpec:
             try:
                 return cls.weighted_sup(Fraction(w) for w in tail.split(","))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad weight list {tail!r}") from None
-        raise ParseError(f"bad norm tag {text!r} (expected one, sup or wsup:w1,w2,...)")
+                raise ParseError(f"bad weight list {quoted(tail)}") from None
+        raise ParseError(f"bad norm tag {quoted(text)} (expected one, sup or wsup:w1,w2,...)")
 
     @property
     def ultrametric(self) -> bool:

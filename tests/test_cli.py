@@ -233,10 +233,15 @@ def test_bug_exits_three_as_internal(capsys, monkeypatch):
      "enumeration-too-large", "500 samples x 1000"),
     (["check-axioms", "--field", "padic:3", "--norm", "one", "--samples", "-5"],
      "invalid-input", "--samples"),
+    (["check-axioms", "--field", "padic:3", "--norm", "one", "--dim", "0"],
+     "invalid-input", "--dim must be at least 1, got 0"),
+    (["check-axioms", "--field", "padic:3", "--norm", "one", "--dim", "-3"],
+     "invalid-input", "--dim must be at least 1, got -3"),
 ], ids=["enumerate-n-negative", "betweenness-n-zero", "enumerate-n-huge",
         "betweenness-n-huge", "segment-k-huge", "field-modulus-huge",
         "enumerate-q-huge", "result-past-digit-limit", "axioms-samples-huge",
-        "axioms-dim-huge", "axioms-samples-negative"])
+        "axioms-dim-huge", "axioms-samples-negative", "axioms-dim-zero",
+        "axioms-dim-negative"])
 def test_hostile_inputs_get_typed_errors_fast(capsys, argv, kind, named):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, *argv)
@@ -323,6 +328,29 @@ def test_probe_integer_past_digit_limit_is_parse_error(capsys, monkeypatch):
     assert "4300 digits" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--norm", "one"], ["decompose"]],
+                         ids=["verify", "decompose"])
+@pytest.mark.parametrize("change", [
+    {"pairs": [[[1]] * 200002]},
+    {"n": [0] * 300000},
+    {"pairs": [[[[0] * 100000], ["1"]]]},
+    {"field": "x" * 500000},
+    {"field": "gf:5", "pairs": [[["1" * 500000], ["1"]]]},
+], ids=["long-pair", "n-a-long-list", "coordinate-a-long-list", "long-field-tag",
+        "long-residue"])
+def test_huge_malformed_probe_input_gets_a_short_parse_error(capsys, monkeypatch,
+                                                             argv, change):
+    import io
+
+    probes = {"field": "padic:3", "n": 1, "pairs": [[["1"], ["2"]]], **change}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(probes)))
+    code = main([*argv, "--probes", "-"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "parse"
+    assert len(out.encode()) < 1024
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--norm", "one"],
     ["decompose"],
@@ -370,3 +398,11 @@ def test_missing_probe_file_is_domain_error(capsys):
     code, payload = run_json(capsys, "verify", "--norm", "one",
                              "--probes", "/nonexistent/probes.json")
     assert code == 1 and payload["error"]["type"] == "parse"
+
+
+def test_long_probe_path_gets_a_short_parse_error(capsys):
+    code = main(["decompose", "--probes", "p" * 100000])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "parse"
+    assert len(out.encode()) < 1024

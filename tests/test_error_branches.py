@@ -1,0 +1,96 @@
+"""Each validation branch raises its own error class.
+
+One case per guard, mostly guards no other test reaches.  Only the
+exception class is checked, so a guard may reword its message but never
+change its kind.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from ultranorm import (
+    AffineMap,
+    AxialIsometry,
+    DimensionMismatchError,
+    FieldMismatchError,
+    FieldSpec,
+    InvalidInputError,
+    NormSpec,
+    ParseError,
+    ProbeMap,
+    Scalar,
+    TableMap,
+    Vector,
+    scalar_isometry_from_json,
+    uniqueness_check,
+)
+
+Q3 = FieldSpec.parse("padic:3")
+Q5 = FieldSpec.parse("padic:5")
+F2 = FieldSpec.parse("gf:2")
+
+
+def v(field, *coords):
+    return Vector.make(field, coords)
+
+
+def s(field, value):
+    return Scalar(field, value)
+
+
+CASES = {
+    "probe-lengths": (InvalidInputError, lambda: ProbeMap((v(Q3, 0),), ())),
+    "probe-fields": (FieldMismatchError, lambda: ProbeMap((v(Q3, 0),), (v(Q5, 0),))),
+    "probe-dims": (DimensionMismatchError, lambda: ProbeMap((v(Q3, 0),), (v(Q3, 0, 0),))),
+    "probe-complete-padic": (InvalidInputError,
+                             lambda: ProbeMap((v(Q3, 0),), (v(Q3, 0),), complete=True)),
+    "probe-complete-count": (InvalidInputError,
+                             lambda: ProbeMap((v(F2, 0),), (v(F2, 0),), complete=True)),
+    "probe-json-pair-dim": (ParseError, lambda: ProbeMap.from_json(
+        {"field": "padic:3", "n": 2, "pairs": [[["1"], ["1"]]]})),
+    "axial-lengths": (DimensionMismatchError,
+                      lambda: AxialIsometry((0,), (), v(Q3, 0))),
+    "axial-tau-field": (FieldMismatchError, lambda: AxialIsometry(
+        (0,), (AffineMap(Q5.one, Q5.zero),), v(Q3, 0))),
+    "compose-field": (FieldMismatchError, lambda: AxialIsometry.identity(Q3, 1).compose(
+        AxialIsometry.identity(Q5, 1))),
+    "compose-dim": (DimensionMismatchError, lambda: AxialIsometry.identity(Q3, 1).compose(
+        AxialIsometry.identity(Q3, 2))),
+    "affine-field": (FieldMismatchError, lambda: AffineMap(Q3.one, Q5.zero)),
+    "table-empty": (InvalidInputError, lambda: TableMap(())),
+    "table-fields": (FieldMismatchError,
+                     lambda: TableMap(((s(Q3, 0), s(Q3, 0)), (s(Q3, 1), s(Q5, 1))))),
+    "table-duplicate": (InvalidInputError,
+                        lambda: TableMap(((s(Q3, 1), s(Q3, 1)), (s(Q3, 1), s(Q3, 2))))),
+    "table-residues-rational": (InvalidInputError,
+                                lambda: TableMap.from_residues(Q3, [0, 1, 2])),
+    "scalar-iso-not-dict": (ParseError, lambda: scalar_isometry_from_json(Q3, [1, 0])),
+    "scalar-iso-no-key": (ParseError, lambda: scalar_isometry_from_json(Q3, {"slope": 1})),
+    "vector-empty": (InvalidInputError, lambda: Vector(Q3, ())),
+    "vector-foreign-coord": (FieldMismatchError, lambda: Vector(Q3, (s(Q5, 1),))),
+    "vector-json-object": (ParseError, lambda: Vector.from_json(5)),
+    "vector-scale-field": (FieldMismatchError, lambda: v(Q3, 1, 2).scale(s(Q5, 2))),
+    "norm-kind": (InvalidInputError, lambda: NormSpec("taxi")),
+    "norm-wsup-no-weights": (InvalidInputError, lambda: NormSpec("wsup")),
+    "norm-weights-positive": (InvalidInputError,
+                              lambda: NormSpec.weighted_sup([Fraction(1), Fraction(0)])),
+    "norm-takes-no-weights": (InvalidInputError, lambda: NormSpec("one", (Fraction(1),))),
+    "field-kind": (InvalidInputError, lambda: FieldSpec("real", 3)),
+    "field-trivial-modulus": (InvalidInputError, lambda: FieldSpec("trivial", 3)),
+    "field-tag-type": (ParseError, lambda: FieldSpec.parse(3)),
+    "field-scalar-foreign": (FieldMismatchError, lambda: Q3.scalar(s(Q5, 1))),
+    "field-elements-infinite": (InvalidInputError, lambda: Q3.elements()),
+    "scalar-check-type": (TypeError, lambda: s(Q3, 1) + 1),
+    "uniqueness-dim": (DimensionMismatchError,
+                       lambda: uniqueness_check(v(Q3, 0, 0, 0), v(Q3, 1, 1, 1), 0, 0)),
+}
+
+
+@pytest.mark.parametrize("expected, build", CASES.values(), ids=CASES.keys())
+def test_guard_raises_its_error_class(expected, build):
+    with pytest.raises(expected) as info:
+        build()
+    assert type(info.value) is expected
