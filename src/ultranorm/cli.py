@@ -134,15 +134,21 @@ def _cmd_minimize(args) -> dict:
     }
 
 
-def _cmd_verify(args) -> dict:
-    probes = _read_probes(args.probes)
+def _read_pairwise_probes(source: str) -> ProbeMap:
+    """Read a probe map, refused before any work on it when its probes are too
+    many to compare pairwise: verify compares every pair, decompose's tables may."""
+    probes = _read_probes(source)
     size = len(probes.domain)
     EnumerationTooLargeError.check(size, 2, VERIFY_CAP, f"{size} probes, squared")
-    return verify_isometry(probes, args.norm).to_json_dict()
+    return probes
+
+
+def _cmd_verify(args) -> dict:
+    return verify_isometry(_read_pairwise_probes(args.probes), args.norm).to_json_dict()
 
 
 def _cmd_decompose(args) -> dict:
-    return decompose(_read_probes(args.probes)).to_json_dict()
+    return decompose(_read_pairwise_probes(args.probes)).to_json_dict()
 
 
 def _cmd_counterexample(args) -> dict:

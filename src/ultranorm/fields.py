@@ -28,6 +28,9 @@ TRIVIAL = "trivial"
 
 _KINDS = (PADIC, GF, TRIVIAL)
 
+# (kind, prime) -> the one FieldSpec of that field; only valid specs enter.
+_INTERNED: dict[tuple[str, int | None], "FieldSpec"] = {}
+
 
 # Moduli are bounded so that trial division takes at most 2^16 steps.
 _MAX_MODULUS = 2 ** 32
@@ -45,29 +48,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _Immutable:
+    """Base of FieldSpec, Scalar and Vector: no attribute can be assigned or
+    deleted, and pickle and copy rebuild through the constructor, whose
+    arguments are the first two slots, so a FieldSpec comes back interned."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__[:2])
+
+
+class FieldSpec(_Immutable):
     """A field together with its (ultrametric) valuation.
 
     ``prime`` is p for the p-adic rationals, q for F_q, and None for the
-    trivially-valued rationals.
+    trivially-valued rationals.  Immutable and interned: two specs of one
+    field are the same object.
     """
 
-    kind: str
-    prime: int | None = None
+    __slots__ = ("kind", "prime")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"unknown field kind {self.kind!r}")
-        if self.kind == TRIVIAL:
-            if self.prime is not None:
+    def __new__(cls, kind: str, prime: int | None = None) -> "FieldSpec":
+        if kind not in _KINDS:
+            raise InvalidInputError(f"unknown field kind {kind!r}")
+        if kind == TRIVIAL:
+            if prime is not None:
                 raise InvalidInputError("trivial-valuation rationals take no modulus")
-        else:
-            if self.prime is not None and self.prime > _MAX_MODULUS:
-                raise InvalidInputError(
-                    f"{self.kind} modulus {quoted(self.prime)} exceeds the bound 2^32")
-            if self.prime is None or not is_prime(self.prime):
-                raise InvalidInputError(f"{self.kind} modulus must be prime, got {self.prime}")
+        elif type(prime) is not int:   # a float or bool would share the int's entry
+            raise InvalidInputError(f"{kind} modulus must be an int, got {quoted(prime)}")
+        elif (kind, prime) not in _INTERNED:
+            if prime > _MAX_MODULUS:
+                raise InvalidInputError(f"{kind} modulus {quoted(prime)} exceeds the bound 2^32")
+            if not is_prime(prime):
+                raise InvalidInputError(f"{kind} modulus must be prime, got {prime}")
+        spec = _INTERNED.get((kind, prime))
+        if spec is None:
+            spec = object.__new__(cls)
+            object.__setattr__(spec, "kind", kind)
+            object.__setattr__(spec, "prime", prime)
+            spec = _INTERNED.setdefault((kind, prime), spec)   # one winner if threads race
+        return spec
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(kind={self.kind!r}, prime={self.prime!r})"
 
     @classmethod
     def padic(cls, p: int) -> "FieldSpec":
@@ -110,7 +139,7 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         """Coerce a Scalar of this field, a string token, or a value Scalar accepts."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value
         if isinstance(value, str):
@@ -137,8 +166,7 @@ class FieldSpec:
         return [Scalar(self, r) for r in range(self.prime)]
 
 
-@dataclass(frozen=True, init=False)
-class Scalar:
+class Scalar(_Immutable):
     """An element of a FieldSpec's field.
 
     ``value`` is a Fraction in lowest terms for the rational fields and an
@@ -148,8 +176,7 @@ class Scalar:
     immutable and hashable.
     """
 
-    field: FieldSpec
-    value: Fraction | int
+    __slots__ = ("field", "value")
 
     def __init__(self, field: FieldSpec, value):
         kind = type(value)
@@ -165,10 +192,18 @@ class Scalar:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
 
+    def __eq__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.field is other.field and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.value))
+
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(f"mixing {self.field} with {other.field}")
 
     def __add__(self, other: "Scalar") -> "Scalar":

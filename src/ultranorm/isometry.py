@@ -85,7 +85,7 @@ class TableMap:
             raise InvalidInputError("empty table")
         fld = self.entries[0][0].field
         for a, b in self.entries:
-            if a.field != fld or b.field != fld:
+            if a.field is not fld or b.field is not fld:
                 self.entries[0][0]._check(a)
                 self.entries[0][0]._check(b)
         lookup = dict(self.entries)
@@ -209,7 +209,7 @@ class AxialIsometry:
         if sorted(self.sigma) != list(range(n)):
             raise InvalidInputError(f"sigma {self.sigma} is not a permutation of 0..{n - 1}")
         for tau in self.taus:
-            if tau.field != self.translation.field:
+            if tau.field is not self.translation.field:
                 raise FieldMismatchError("tau field differs from translation field")
 
     @classmethod
@@ -305,7 +305,7 @@ class ProbeMap:
                 f"{len(self.domain)} domain points vs {len(self.images)} images")
         fld, n = self.domain[0].field, self.domain[0].dim
         for v in itertools.chain(self.domain, self.images):
-            if v.field != fld or v.dim != n:   # the fast test; _check raises
+            if v.field is not fld or v.dim != n:   # the fast test; _check raises
                 self.domain[0]._check(v)
         lookup = dict(zip(self.domain, self.images))
         if len(lookup) != len(self.domain):

@@ -24,27 +24,41 @@ from .errors import (
     ParseError,
     quoted,
 )
-from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _multiplicity,
-                     valuation)
+from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable,
+                     _multiplicity, valuation)
 
 ONE = "one"
 SUP = "sup"
 WSUP = "wsup"
 
 
-@dataclass(frozen=True)
-class Vector:
-    """An n-tuple of scalars over a fixed field, n >= 1. Immutable."""
+class Vector(_Immutable):
+    """An n-tuple of scalars over a fixed field, n >= 1. Immutable; the hash
+    is computed on first use and kept."""
 
-    field: FieldSpec
-    coords: tuple[Scalar, ...]
+    __slots__ = ("field", "coords", "_hash")
 
-    def __post_init__(self):
-        if not self.coords:
+    def __init__(self, field: FieldSpec, coords: tuple[Scalar, ...]):
+        if not coords:
             raise InvalidInputError("vectors have dimension >= 1")
-        for c in self.coords:
-            if c.field != self.field:
-                raise FieldMismatchError(f"coordinate from {c.field} in {self.field} vector")
+        for c in coords:
+            if c.field is not field:
+                raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, Vector):
+            return NotImplemented
+        return self.field is other.field and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.field, self.coords))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @classmethod
     def make(cls, field: FieldSpec, values) -> "Vector":
@@ -82,7 +96,7 @@ class Vector:
         return len(self.coords)
 
     def _check(self, other: "Vector") -> None:
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(f"mixing {self.field} with {other.field}")
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
@@ -111,7 +125,7 @@ class Vector:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm to evaluate: "one", "sup", or "wsup" with positive weights."""
+    """Which norm to evaluate: "one", "sup", or "wsup" with positive Fraction weights."""
 
     kind: str
     weights: tuple[Fraction, ...] | None = None
@@ -122,6 +136,10 @@ class NormSpec:
         if self.kind == WSUP:
             if not self.weights:
                 raise InvalidInputError("weighted sup norm needs weights")
+            for w in self.weights:
+                if type(w) not in (int, Fraction):   # as for Scalar: no float, no bool
+                    raise ParseError(f"{type(w).__name__} {quoted(w)} is not an exact weight")
+            object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
             if any(w <= 0 for w in self.weights):
                 raise InvalidInputError("weights must be strictly positive")
         elif self.weights is not None:
@@ -137,7 +155,7 @@ class NormSpec:
 
     @classmethod
     def weighted_sup(cls, weights) -> "NormSpec":
-        return cls(WSUP, tuple(Fraction(w) for w in weights))
+        return cls(WSUP, tuple(weights))
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":

@@ -288,6 +288,25 @@ def test_verify_work_is_capped(capsys, monkeypatch, probes):
         "size": probes ** 2, "cap": 2 ** 20}
 
 
+@pytest.mark.parametrize("probes", [1025, 2000])
+def test_decompose_work_is_capped(capsys, tmp_path, probes):
+    # axis probes shifting one residue class by 9 fit no affine map, so
+    # without the cap TableMap would compare every pair of them
+    pairs = [[["0"], ["0"]]] + [[[str(i)], [str(i + 9 if i % 3 == 1 else i)]]
+                                for i in range(1, probes)]
+    path = tmp_path / "probes.json"
+    path.write_text(json.dumps({"field": "padic:3", "n": 1, "pairs": pairs}))
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "decompose", "--probes", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["error"] == {
+        "type": "enumeration-too-large",
+        "message": f"enumeration of {probes ** 2} elements exceeds cap 1048576 "
+                   f"({probes} probes, squared)",
+        "size": probes ** 2, "cap": 2 ** 20}
+
+
 def test_sup_enumeration_past_its_cap_is_refused_fast(capsys):
     t0 = time.perf_counter()
     code, payload = run_json(capsys, "enumerate", "--q", "3", "--n", "2", "--norm", "sup")

@@ -191,3 +191,59 @@ def test_axiom_sweep_catches_a_broken_valuation():
     report.record(False, "demo-axiom", ("1", "2"), "nope")
     assert not report.ok
     assert report.to_json_dict()["violations"][0]["axiom"] == "demo-axiom"
+
+
+# -- interned fields and the immutable value classes ----------------------------
+
+
+def test_field_specs_are_interned():
+    assert FieldSpec.parse("gf:5") is FieldSpec.gf(5) is FieldSpec("gf", 5) is F5
+    assert FieldSpec.parse("padic:3") is FieldSpec.padic(3) is FieldSpec("padic", 3) is Q3
+    assert FieldSpec.parse("trivial:q") is FieldSpec.trivial() is FieldSpec("trivial") is TQ
+
+
+def test_float_or_bool_modulus_is_refused():
+    from ultranorm import InvalidInputError
+
+    FieldSpec.gf(3)   # interned first: its key (gf, 3) equals (gf, 3.0) and (gf, True)
+    for kind, modulus in (("gf", 3.0), ("padic", 3.0), ("gf", True), ("padic", False),
+                          ("gf", Fraction(3))):
+        with pytest.raises(InvalidInputError, match="must be an int"):
+            FieldSpec(kind, modulus)
+
+
+def test_rejected_spec_leaves_the_intern_table_unchanged():
+    from ultranorm import UltranormError
+    from ultranorm.fields import _INTERNED
+
+    before = dict(_INTERNED)
+    for build in (lambda: FieldSpec("gf", 6), lambda: FieldSpec("gf", 3.0),
+                  lambda: FieldSpec("padic", True), lambda: FieldSpec("gf", 2 ** 32 + 15),
+                  lambda: FieldSpec("real", 3), lambda: FieldSpec("trivial", 3),
+                  lambda: FieldSpec.parse("gf:4"), lambda: FieldSpec.parse("padic:1")):
+        with pytest.raises(UltranormError):
+            build()
+    assert _INTERNED == before
+
+
+def test_scalars_of_different_fields_are_unequal():
+    gf3 = FieldSpec.gf(3)
+    ones = [Scalar(gf3, 1), Scalar(Q3, 1), Scalar(TQ, 1)]
+    for i, a in enumerate(ones):
+        for j, b in enumerate(ones):
+            assert (a == b) == (i == j)
+            assert (a != b) == (i != j)
+    assert Scalar(Q3, Fraction(2, 4)) == Scalar(Q3, Fraction(1, 2))
+    assert Scalar(F5, 1) != 1 and Scalar(Q3, 1) != Fraction(1)
+
+
+@pytest.mark.parametrize("value, names", [
+    (FieldSpec.gf(5), ("kind", "prime", "extra")),
+    (Scalar(FieldSpec.gf(5), 2), ("field", "value", "extra")),
+], ids=["FieldSpec", "Scalar"])
+def test_assignment_raises_attribute_error(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)

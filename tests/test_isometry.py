@@ -513,3 +513,22 @@ def test_sphere_shift_rejects_probes_from_another_field_or_dimension():
     # no probe lies on the sphere ||x|| = 3, so no sum would have caught these
     with pytest.raises(DimensionMismatchError, match="^dimension 2 vs 3$"):
         sphere_shift_map(e0, v0, [_v(Q3, "0,0"), _v(Q3, "0,0,0"), _v(Q3, "1,0,0")])
+
+
+@pytest.mark.parametrize("field", [Q3, F5, FieldSpec.trivial()], ids=str)
+@pytest.mark.parametrize("copier", ["pickle", "deepcopy", "copy"])
+def test_values_survive_pickle_and_copy_with_the_interned_field(field, copier):
+    import copy
+    import pickle
+
+    copy_of = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+               "deepcopy": copy.deepcopy, "copy": copy.copy}[copier]
+    x, y = _v(field, "1,2"), _v(field, "2,1")
+    probes = ProbeMap((x, y), (y, x))
+    assert copy_of(field) is field
+    for value in (field.scalar(2), x):
+        back = copy_of(value)
+        assert back == value and hash(back) == hash(value) and back.field is field
+    back = copy_of(probes)
+    assert back == probes and back.field is field
+    assert back.image_of(x) == y and back.image_of(y) == x

@@ -3,7 +3,8 @@
 Every enumeration cap lives in `errors.py`, and `errors.py` imports nothing
 from the package, so any module can read a cap without an import cycle.
 Both rules are read from the source with `ast` alone; the modules that used
-to own a cap still export it.
+to own a cap still export it.  The value classes FieldSpec, Scalar and Vector
+are slotted: their instances carry no `__dict__`.
 """
 
 from __future__ import annotations
@@ -65,3 +66,14 @@ def test_errors_imports_nothing_from_the_package():
 ])
 def test_caps_resolve_in_their_old_modules(module, name):
     assert getattr(importlib.import_module(f"ultranorm.{module}"), name) == getattr(errors, name)
+
+
+@pytest.mark.parametrize("name", ["FieldSpec", "Scalar", "Vector"])
+def test_value_classes_are_slotted(name):
+    from ultranorm import FieldSpec, Scalar, Vector
+
+    field = FieldSpec.gf(3)
+    instance = {"FieldSpec": field, "Scalar": Scalar(field, 1),
+                "Vector": Vector.make(field, [1, 2])}[name]
+    assert "__slots__" in type(instance).__dict__
+    assert not hasattr(instance, "__dict__")

@@ -493,3 +493,21 @@ def test_hostile_argv_exits_zero_one_or_two_fast(command, data, stdin):
     elapsed = time.perf_counter() - t0
     assert code in (0, 1, 2), err.getvalue()[-2000:]
     assert elapsed < 1.0
+
+
+# -- equal values hash alike -----------------------------------------------------
+
+
+@SETTINGS
+@given(field=FIELDS, other=FIELDS, same=st.booleans(), n=st.integers(1, 3), data=st.data())
+def test_equal_scalars_and_vectors_hash_alike(field, other, same, n, data):
+    """Equal iff same field and same canonical value; equal values hash alike."""
+    other = field if same else other
+    xs = data.draw(st.lists(coordinates(field), min_size=n, max_size=n))
+    ys = st.lists(coordinates(other), min_size=n, max_size=n)
+    ys = data.draw(st.sampled_from([xs, [3 * x for x in xs]]) | ys if same else ys)
+    for a, b in ((Scalar(field, xs[0]), Scalar(other, ys[0])),
+                 (Vector.make(field, xs), Vector.make(other, ys))):
+        assert (a == b) == (a.field is b.field and str(a) == str(b))
+        if a == b:
+            assert hash(a) == hash(b)

@@ -241,3 +241,29 @@ def test_distance_kernel_keeps_its_typed_errors():
         distance(x, x, NormSpec.parse("wsup:1,2"))  # weight count checked even at x == y
     with pytest.raises(DimensionMismatchError):
         norm(Vector.zero(Q3, 3), NormSpec.parse("wsup:1,2"))
+
+
+def test_float_and_bool_weights_are_parse_errors():
+    for build in (lambda: NormSpec("wsup", (0.5, 1.0)), lambda: NormSpec.weighted_sup([0.1, 1]),
+                  lambda: NormSpec.weighted_sup([1, True])):
+        with pytest.raises(ParseError, match="not an exact weight"):
+            build()
+    spec = NormSpec.weighted_sup([1, Fraction(1, 2)])
+    assert spec.weights == (1, Fraction(1, 2))
+    assert all(type(w) is Fraction for w in spec.weights)
+    assert norm(Vector.parse(Q3, "1,1"), spec) == 1
+    assert NormSpec.parse("wsup:0.5").weights == (Fraction(1, 2),)
+
+
+def test_vector_equality_hash_and_immutability():
+    v = Vector.parse(Q3, "9,1/3")
+    same = Vector.parse(Q3, "9,1/3")
+    assert v == same and hash(v) == hash(same) and hash(v) == hash(v)
+    assert v != Vector.parse(TQ, "9,1/3") and v != Vector.parse(Q3, "9,1/3,0")
+    assert v != v.coords and Vector.parse(F3, "1,2") == Vector.make(F3, [4, -1])
+    for name in ("field", "coords", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v == same
