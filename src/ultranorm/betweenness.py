@@ -13,11 +13,9 @@ trivially and are reported as between; callers need no case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError)
-from .fields import Magnitude
+from .fields import Magnitude, _Immutable
 from .spaces import NormSpec, Vector, distance
 
 _ONE = NormSpec.one()
@@ -40,8 +38,7 @@ def differing_positions(x: Vector, y: Vector) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(x.coords, y.coords)) if a != b]
 
 
-@dataclass(frozen=True)
-class SegmentEnumeration:
+class SegmentEnumeration(_Immutable):
     """The full metric segment between two endpoints.
 
     `k` counts the coordinates where the endpoints differ; `points` holds all
@@ -49,10 +46,13 @@ class SegmentEnumeration:
     set means: take y's value at the j-th differing position).
     """
 
-    x: Vector
-    y: Vector
-    k: int
-    points: tuple[Vector, ...]
+    __slots__ = ("x", "y", "k", "points")
+
+    def __init__(self, x: Vector, y: Vector, k: int, points: tuple[Vector, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "points", points)
 
     def to_json_dict(self) -> dict:
         return {

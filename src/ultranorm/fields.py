@@ -14,7 +14,6 @@ norm values are exact nonnegative rationals, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import FieldMismatchError, InvalidInputError, ParseError, quoted
@@ -49,9 +48,12 @@ def is_prime(n: int) -> bool:
 
 
 class _Immutable:
-    """Base of FieldSpec, Scalar and Vector: no attribute can be assigned or
-    deleted, and pickle and copy rebuild through the constructor, whose
-    arguments are the first two slots, so a FieldSpec comes back interned."""
+    """Base of every value class: no attribute can be assigned or deleted.
+
+    The public slots (no leading underscore) are the constructor's arguments,
+    in order.  Equality, hash, repr and pickling read them, so pickle and
+    copy rebuild through the constructor and a FieldSpec comes back interned.
+    """
 
     __slots__ = ()
 
@@ -60,8 +62,23 @@ class _Immutable:
 
     __delattr__ = __setattr__
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(args)})"
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__[:2])
+        return type(self), self._values()
 
 
 class FieldSpec(_Immutable):
@@ -95,8 +112,8 @@ class FieldSpec(_Immutable):
             spec = _INTERNED.setdefault((kind, prime), spec)   # one winner if threads race
         return spec
 
-    def __repr__(self) -> str:
-        return f"FieldSpec(kind={self.kind!r}, prime={self.prime!r})"
+    __eq__ = object.__eq__   # interned: equal specs are one object
+    __hash__ = object.__hash__
 
     @classmethod
     def padic(cls, p: int) -> "FieldSpec":
@@ -268,23 +285,25 @@ def valuation(a: Scalar) -> Magnitude:
 # -- axiom verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    axiom: str
-    operands: tuple[str, ...]
-    detail: str
+class AxiomViolation(_Immutable):
+    __slots__ = ("axiom", "operands", "detail")
+
+    def __init__(self, axiom: str, operands: tuple[str, ...], detail: str):
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "operands", operands)
+        object.__setattr__(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         return {"axiom": self.axiom, "operands": list(self.operands), "detail": self.detail}
 
 
-@dataclass
 class AxiomReport:
     """Outcome of an axiom sweep: violations are content, not exceptions."""
 
-    subject: str
-    checks: int = 0
-    violations: list[AxiomViolation] = dc_field(default_factory=list)
+    __slots__ = ("subject", "checks", "violations")
+
+    def __init__(self, subject: str):
+        self.subject, self.checks, self.violations = subject, 0, []
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ everything else fixed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     WITNESS_LIMIT,
@@ -29,22 +28,21 @@ from .errors import (
     UnderdeterminedError,
     quoted,
 )
-from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, valuation
+from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, _Immutable, valuation
 from .spaces import NormSpec, Vector, distance, norm
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Immutable):
     """a -> u*a + c with |u| = 1, so |f(a) - f(b)| = |a - b| identically."""
 
-    u: Scalar
-    c: Scalar
+    __slots__ = ("u", "c")
 
-    def __post_init__(self):
-        self.u._check(self.c)
-        if valuation(self.u) != 1:
-            raise InvalidInputError(
-                f"affine slope must be a unit, |{self.u}| = {valuation(self.u)}")
+    def __init__(self, u: Scalar, c: Scalar):
+        u._check(c)
+        if valuation(u) != 1:
+            raise InvalidInputError(f"affine slope must be a unit, |{u}| = {valuation(u)}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "c", c)
 
     @property
     def field(self) -> FieldSpec:
@@ -68,8 +66,7 @@ class AffineMap:
         return f"a -> {self.u}*a + {self.c}"
 
 
-@dataclass(frozen=True)
-class TableMap:
+class TableMap(_Immutable):
     """A scalar isometry given pointwise.
 
     Over a finite field the table must be a bijection of the whole field;
@@ -78,21 +75,20 @@ class TableMap:
     for injectivity and exact metric preservation at construction.
     """
 
-    entries: tuple[tuple[Scalar, Scalar], ...]
+    __slots__ = ("entries", "_lookup")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[Scalar, Scalar], ...]):
+        if not entries:
             raise InvalidInputError("empty table")
-        fld = self.entries[0][0].field
-        for a, b in self.entries:
+        fld = entries[0][0].field
+        for a, b in entries:
             if a.field is not fld or b.field is not fld:
-                self.entries[0][0]._check(a)
-                self.entries[0][0]._check(b)
-        lookup = dict(self.entries)
-        if len(lookup) != len(self.entries):
+                entries[0][0]._check(a)
+                entries[0][0]._check(b)
+        lookup = dict(entries)
+        if len(lookup) != len(entries):
             raise InvalidInputError("duplicate table inputs")
-        object.__setattr__(self, "_lookup", lookup)
-        for (a, fa), (b, fb) in itertools.combinations(self.entries, 2):
+        for (a, fa), (b, fb) in itertools.combinations(entries, 2):
             if fa == fb:
                 raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
             # under the trivial valuation of gf:q, injectivity is metric preservation
@@ -100,9 +96,11 @@ class TableMap:
                 raise InvalidInputError(
                     f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                     f"but |{fa}-{fb}|={valuation(fa - fb)}")
-        if fld.kind == GF and len(self.entries) != fld.prime:
+        if fld.kind == GF and len(entries) != fld.prime:
             raise InvalidInputError(
                 f"finite-field table must be a bijection of all {fld.prime} residues")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
     def from_residues(cls, field: FieldSpec, images) -> "TableMap":
@@ -190,27 +188,28 @@ def _compose_scalar(outer: ScalarIsometry, inner: ScalarIsometry,
         (inner_inv.apply(x - shift), y) for x, y in outer.entries))
 
 
-@dataclass(frozen=True)
-class AxialIsometry:
+class AxialIsometry(_Immutable):
     """translation + (tau_1(x_{sigma[1]}), ..., tau_n(x_{sigma[n]})).
 
     sigma[i] is the 0-based input coordinate feeding output coordinate i.
     """
 
-    sigma: tuple[int, ...]
-    taus: tuple[ScalarIsometry, ...]
-    translation: Vector
+    __slots__ = ("sigma", "taus", "translation")
 
-    def __post_init__(self):
-        n = self.translation.dim
-        if len(self.sigma) != n or len(self.taus) != n:
+    def __init__(self, sigma: tuple[int, ...], taus: tuple[ScalarIsometry, ...],
+                 translation: Vector):
+        n = translation.dim
+        if len(sigma) != n or len(taus) != n:
             raise DimensionMismatchError(
-                f"sigma/taus/translation lengths {len(self.sigma)}/{len(self.taus)}/{n}")
-        if sorted(self.sigma) != list(range(n)):
-            raise InvalidInputError(f"sigma {self.sigma} is not a permutation of 0..{n - 1}")
-        for tau in self.taus:
-            if tau.field is not self.translation.field:
+                f"sigma/taus/translation lengths {len(sigma)}/{len(taus)}/{n}")
+        if sorted(sigma) != list(range(n)):
+            raise InvalidInputError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
+        for tau in taus:
+            if tau.field is not translation.field:
                 raise FieldMismatchError("tau field differs from translation field")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "AxialIsometry":
@@ -285,38 +284,38 @@ class AxialIsometry:
                    Vector.make(field, obj["translation"]))
 
 
-@dataclass(frozen=True)
-class ProbeMap:
+class ProbeMap(_Immutable):
     """A black-box map sampled on finitely many points.
 
     `complete` asserts the domain is the whole (finite) space; it is what
     licenses surjectivity checks.
     """
 
-    domain: tuple[Vector, ...]
-    images: tuple[Vector, ...]
-    complete: bool = False
+    __slots__ = ("domain", "images", "complete", "_lookup")
 
-    def __post_init__(self):
-        if not self.domain:
+    def __init__(self, domain: tuple[Vector, ...], images: tuple[Vector, ...],
+                 complete: bool = False):
+        if not domain:
             raise InvalidInputError("empty probe map")
-        if len(self.domain) != len(self.images):
-            raise InvalidInputError(
-                f"{len(self.domain)} domain points vs {len(self.images)} images")
-        fld, n = self.domain[0].field, self.domain[0].dim
-        for v in itertools.chain(self.domain, self.images):
+        if len(domain) != len(images):
+            raise InvalidInputError(f"{len(domain)} domain points vs {len(images)} images")
+        fld, n = domain[0].field, domain[0].dim
+        for v in itertools.chain(domain, images):
             if v.field is not fld or v.dim != n:   # the fast test; _check raises
-                self.domain[0]._check(v)
-        lookup = dict(zip(self.domain, self.images))
-        if len(lookup) != len(self.domain):
+                domain[0]._check(v)
+        lookup = dict(zip(domain, images))
+        if len(lookup) != len(domain):
             raise InvalidInputError("duplicate probe points")
-        object.__setattr__(self, "_lookup", lookup)
-        if self.complete:
+        if complete:
             if fld.kind != GF:
                 raise InvalidInputError("complete probe maps exist only over finite fields")
-            if len(self.domain) != fld.prime ** n:
+            if len(domain) != fld.prime ** n:
                 raise InvalidInputError(
-                    f"complete flag on {len(self.domain)} of {fld.prime ** n} points")
+                    f"complete flag on {len(domain)} of {fld.prime ** n} points")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
     def from_callable(cls, fn, points, complete: bool = False) -> "ProbeMap":
@@ -379,18 +378,18 @@ class ProbeMap:
         return cls(tuple(domain), tuple(images), complete)
 
 
-@dataclass
 class IsometryReport:
     """Pairwise verification of a probe map against a norm."""
 
-    norm: str
-    probes: int
-    pairs_checked: int = 0
-    distance_violations: list = dc_field(default_factory=list)   # the first WITNESS_LIMIT
-    collisions: list = dc_field(default_factory=list)            # the first WITNESS_LIMIT
-    surjective: bool | None = None
-    violation_count: int = 0
-    collision_count: int = 0
+    __slots__ = ("norm", "probes", "pairs_checked", "distance_violations", "collisions",
+                 "surjective", "violation_count", "collision_count")
+
+    def __init__(self, norm: str, probes: int):
+        self.norm, self.probes, self.pairs_checked = norm, probes, 0
+        self.distance_violations: list = []   # the first WITNESS_LIMIT
+        self.collisions: list = []            # the first WITNESS_LIMIT
+        self.surjective: bool | None = None
+        self.violation_count = self.collision_count = 0
 
     @property
     def injective(self) -> bool:

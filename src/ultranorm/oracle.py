@@ -13,7 +13,6 @@ against these enumerations, never assumed by them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 from math import factorial
 
 from .betweenness import coordinate_between, is_metrically_between
@@ -36,20 +35,19 @@ def axial_isometry_count(q: int, n: int, centred: bool = False) -> int:
     return factorial(n) * per_coord ** n
 
 
-@dataclass
 class EnumerationResult:
     """Outcome of a full isometry search over F_q^n."""
 
-    q: int
-    n: int
-    norm: NormSpec
-    centred: bool
-    points: tuple[Vector, ...]
-    isometries: tuple[tuple[int, ...], ...]   # image-index tuples, search order
-    attempts: int                             # free candidates over all search nodes
-    axial: int
-    non_axial_witnesses: list = dc_field(default_factory=list)
-    duration: float = 0.0
+    __slots__ = ("q", "n", "norm", "centred", "points", "isometries", "attempts", "axial",
+                 "non_axial_witnesses", "duration")
+
+    def __init__(self, q: int, n: int, norm: NormSpec, centred: bool,
+                 points: tuple[Vector, ...], isometries: tuple[tuple[int, ...], ...],
+                 attempts: int, axial: int):
+        self.q, self.n, self.norm, self.centred, self.points = q, n, norm, centred, points
+        self.isometries = isometries   # image-index tuples, search order
+        self.attempts = attempts       # free candidates over all search nodes
+        self.axial, self.non_axial_witnesses, self.duration = axial, [], 0.0
 
     @property
     def count(self) -> int:
@@ -165,16 +163,15 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     return result
 
 
-@dataclass
 class BetweennessReport:
     """Exhaustive check that metric and coordinate betweenness coincide."""
 
-    q: int
-    n: int
-    triples: int = 0
-    mismatches: int = 0
-    first_mismatches: list = dc_field(default_factory=list)
-    duration: float = 0.0
+    __slots__ = ("q", "n", "triples", "mismatches", "first_mismatches", "duration")
+
+    def __init__(self, q: int, n: int):
+        self.q, self.n, self.triples, self.mismatches = q, n, 0, 0
+        self.first_mismatches: list = []
+        self.duration = 0.0
 
     @property
     def ok(self) -> bool:
@@ -223,16 +220,16 @@ def exhaustive_betweenness_check(q: int, n: int,
     return report
 
 
-@dataclass
 class ClosureReport:
     """Group sanity over an enumerated isometry set."""
 
-    size: int
-    has_identity: bool = False
-    closed: bool = True
-    inverses_ok: bool = True
-    compositions_checked: int = 0
-    missing: list = dc_field(default_factory=list)
+    __slots__ = ("size", "has_identity", "closed", "inverses_ok", "compositions_checked",
+                 "missing")
+
+    def __init__(self, size: int):
+        self.size, self.has_identity, self.closed, self.inverses_ok = size, False, True, True
+        self.compositions_checked = 0
+        self.missing: list = []
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ per result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,6 +40,8 @@ class Vector(_Immutable):
     def __init__(self, field: FieldSpec, coords: tuple[Scalar, ...]):
         if not coords:
             raise InvalidInputError("vectors have dimension >= 1")
+        if type(coords) is not tuple:   # a list would leave the vector unhashable and growable
+            raise InvalidInputError(f"vector coords must be a tuple, got {type(coords).__name__}")
         for c in coords:
             if c.field is not field:
                 raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
@@ -123,27 +124,27 @@ class Vector(_Immutable):
         return f"Vector({self.field}, {self})"
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class NormSpec(_Immutable):
     """Which norm to evaluate: "one", "sup", or "wsup" with positive Fraction weights."""
 
-    kind: str
-    weights: tuple[Fraction, ...] | None = None
+    __slots__ = ("kind", "weights")
 
-    def __post_init__(self):
-        if self.kind not in (ONE, SUP, WSUP):
-            raise InvalidInputError(f"unknown norm kind {self.kind!r}")
-        if self.kind == WSUP:
-            if not self.weights:
+    def __init__(self, kind: str, weights: tuple[Fraction, ...] | None = None):
+        if kind not in (ONE, SUP, WSUP):
+            raise InvalidInputError(f"unknown norm kind {kind!r}")
+        if kind == WSUP:
+            if not weights:
                 raise InvalidInputError("weighted sup norm needs weights")
-            for w in self.weights:
+            for w in weights:
                 if type(w) not in (int, Fraction):   # as for Scalar: no float, no bool
                     raise ParseError(f"{type(w).__name__} {quoted(w)} is not an exact weight")
-            object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-            if any(w <= 0 for w in self.weights):
+            weights = tuple(Fraction(w) for w in weights)
+            if any(w <= 0 for w in weights):
                 raise InvalidInputError("weights must be strictly positive")
-        elif self.weights is not None:
-            raise InvalidInputError(f"{self.kind} norm takes no weights")
+        elif weights is not None:
+            raise InvalidInputError(f"{kind} norm takes no weights")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def one(cls) -> "NormSpec":

@@ -97,3 +97,24 @@ def wreath_order(q: int, n: int, centred: bool = False) -> int:
     """n! * (q!)^n, with one coordinate-map orbit pinned when centred."""
     per_axis = math.factorial(q - 1) if centred else math.factorial(q)
     return math.factorial(n) * per_axis**n
+
+
+def is_axial(perm, q: int, n: int) -> bool:
+    """Whether points[i] -> points[perm[i]] is an axial map of F_q^n.
+
+    `points` is gf_space(q, n), in lexicographic order.  Axial means: for
+    some permutation s of the axes and bijections g_j of F_q (a translation
+    folds into the g_j), output coordinate j of every image is
+    g_j(input coordinate s[j]).  Every s is tried.
+    """
+    space = gf_space(q, n)
+    for s in itertools.permutations(range(n)):
+        tables = [{} for _ in range(n)]
+        consistent = all(
+            tables[j].setdefault(x[s[j]], space[perm[i]][j]) == space[perm[i]][j]
+            for i, x in enumerate(space)
+            for j in range(n)
+        )
+        if consistent and all(sorted(t.values()) == list(range(q)) for t in tables):
+            return True
+    return False

@@ -532,3 +532,61 @@ def test_values_survive_pickle_and_copy_with_the_interned_field(field, copier):
     back = copy_of(probes)
     assert back == probes and back.field is field
     assert back.image_of(x) == y and back.image_of(y) == x
+
+
+def _frozen_values():
+    """One value per frozen class (two NormSpecs, two TableMaps), with its repr
+    in the form the earlier dataclass versions printed."""
+    from ultranorm import segment
+    from ultranorm.fields import AxiomViolation
+
+    f2_0, f2_1 = _v(F2, "0"), _v(F2, "1")
+    return {
+        "NormSpec-one": (NormSpec.one(), "NormSpec(kind='one', weights=None)"),
+        "NormSpec-wsup": (NormSpec.parse("wsup:1/2,2"),
+                          "NormSpec(kind='wsup', weights=(Fraction(1, 2), Fraction(2, 1)))"),
+        "AffineMap": (AffineMap(Q3.scalar(2), Q3.one),
+                      "AffineMap(u=Scalar(padic:3, 2), c=Scalar(padic:3, 1))"),
+        "TableMap-gf": (TableMap.from_residues(F2, [1, 0]),
+                        "TableMap(entries=((Scalar(gf:2, 0), Scalar(gf:2, 1)), "
+                        "(Scalar(gf:2, 1), Scalar(gf:2, 0))))"),
+        "TableMap-rational": (TableMap.from_pairs(Q3, [(1, 2), (0, 0)]),
+                              "TableMap(entries=((Scalar(padic:3, 1), Scalar(padic:3, 2)), "
+                              "(Scalar(padic:3, 0), Scalar(padic:3, 0))))"),
+        "AxialIsometry": (AxialIsometry.identity(F2, 1),
+                          "AxialIsometry(sigma=(0,), taus=(AffineMap(u=Scalar(gf:2, 1), "
+                          "c=Scalar(gf:2, 0)),), translation=Vector(gf:2, 0))"),
+        "ProbeMap": (ProbeMap((f2_0, f2_1), (f2_1, f2_0), complete=True),
+                     "ProbeMap(domain=(Vector(gf:2, 0), Vector(gf:2, 1)), "
+                     "images=(Vector(gf:2, 1), Vector(gf:2, 0)), complete=True)"),
+        "SegmentEnumeration": (segment(f2_0, f2_1),
+                               "SegmentEnumeration(x=Vector(gf:2, 0), y=Vector(gf:2, 1), k=1, "
+                               "points=(Vector(gf:2, 0), Vector(gf:2, 1)))"),
+        "AxiomViolation": (AxiomViolation("ultrametric", ("1", "2"), "x"),
+                           "AxiomViolation(axiom='ultrametric', operands=('1', '2'), detail='x')"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_values()))
+@pytest.mark.parametrize("copier", ["pickle", "deepcopy", "copy"])
+def test_frozen_classes_survive_pickle_and_copy(name, copier):
+    import copy
+    import pickle
+
+    copy_of = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+               "deepcopy": copy.deepcopy, "copy": copy.copy}[copier]
+    value, expected_repr = _frozen_values()[name]
+    back = copy_of(value)
+    assert type(back) is type(value)
+    assert back == value and hash(back) == hash(value)
+    assert repr(value) == repr(back) == expected_repr
+    if isinstance(value, TableMap):
+        for a, b in value.entries:
+            assert back.apply(a) == b
+        with pytest.raises(OutsideDomainError):
+            back.apply(Q3.scalar(5) if value.field is Q3 else F5.one)
+    if isinstance(value, ProbeMap):
+        for x, y in zip(value.domain, value.images):
+            assert back.image_of(x) == y
+        with pytest.raises(AttributeError):
+            back.complete = False

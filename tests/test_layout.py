@@ -3,8 +3,8 @@
 Every enumeration cap lives in `errors.py`, and `errors.py` imports nothing
 from the package, so any module can read a cap without an import cycle.
 Both rules are read from the source with `ast` alone; the modules that used
-to own a cap still export it.  The value classes FieldSpec, Scalar and Vector
-are slotted: their instances carry no `__dict__`.
+to own a cap still export it.  No module imports `dataclasses`, and every
+value and report class is slotted: its instances carry no `__dict__`.
 """
 
 from __future__ import annotations
@@ -68,12 +68,48 @@ def test_caps_resolve_in_their_old_modules(module, name):
     assert getattr(importlib.import_module(f"ultranorm.{module}"), name) == getattr(errors, name)
 
 
-@pytest.mark.parametrize("name", ["FieldSpec", "Scalar", "Vector"])
-def test_value_classes_are_slotted(name):
-    from ultranorm import FieldSpec, Scalar, Vector
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "dataclasses", f"{path.name} imports from dataclasses"
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "dataclasses" for a in node.names), \
+                f"{path.name} imports dataclasses"
 
-    field = FieldSpec.gf(3)
-    instance = {"FieldSpec": field, "Scalar": Scalar(field, 1),
-                "Vector": Vector.make(field, [1, 2])}[name]
+
+def _instances():
+    import ultranorm as U
+    from ultranorm.fields import AxiomViolation
+
+    field = U.FieldSpec.gf(3)
+    x, y = U.Vector.make(field, [1, 2]), U.Vector.make(field, [2, 1])
+    probes = U.ProbeMap((x, y), (y, x))
+    enumeration = U.enumerate_isometries(2, 1)
+    return {
+        "FieldSpec": field, "Scalar": U.Scalar(field, 1), "Vector": x,
+        "NormSpec": U.NormSpec.parse("wsup:1,2"),
+        "AffineMap": U.AffineMap(field.one, field.zero),
+        "TableMap": U.TableMap.from_residues(field, [0, 2, 1]),
+        "AxialIsometry": U.AxialIsometry.identity(field, 2),
+        "ProbeMap": probes,
+        "SegmentEnumeration": U.segment(x, y),
+        "AxiomViolation": AxiomViolation("ultrametric", ("1", "2"), ""),
+        "AxiomReport": U.AxiomReport("demo"),
+        "EnumerationResult": enumeration,
+        "BetweennessReport": U.exhaustive_betweenness_check(2, 1),
+        "ClosureReport": U.group_closure_check(enumeration),
+        "IsometryReport": U.verify_isometry(probes, U.NormSpec.one()),
+    }
+
+
+@pytest.mark.parametrize("name", ["FieldSpec", "Scalar", "Vector", "NormSpec", "AffineMap",
+                                  "TableMap", "AxialIsometry", "ProbeMap", "SegmentEnumeration",
+                                  "AxiomViolation", "AxiomReport", "EnumerationResult",
+                                  "BetweennessReport", "ClosureReport", "IsometryReport"])
+def test_value_classes_are_slotted(name):
+    instance = _instances()[name]
+    assert type(instance).__name__ == name
     assert "__slots__" in type(instance).__dict__
     assert not hasattr(instance, "__dict__")

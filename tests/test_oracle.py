@@ -10,12 +10,16 @@ import pytest
 
 from ultranorm import (
     AxialIsometry,
+    DecompositionError,
     EnumerationTooLargeError,
     FieldSpec,
     NormSpec,
+    ProbeMap,
     TableMap,
+    UnderdeterminedError,
     Vector,
     axial_isometry_count,
+    decompose,
     enumerate_isometries,
     enumerate_space,
     exhaustive_betweenness_check,
@@ -23,7 +27,8 @@ from ultranorm import (
 )
 from ultranorm.oracle import EnumerationResult, _search
 
-from naive import gf_one_dist, gf_space, gf_sup_dist, isometries_by_filter, wreath_order
+from naive import (gf_one_dist, gf_space, gf_sup_dist, is_axial, isometries_by_filter,
+                   wreath_order)
 
 ONE = NormSpec.one()
 SUP = NormSpec.sup()
@@ -131,6 +136,15 @@ def test_import_does_not_load_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, ultranorm.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_space_cap_guard():
@@ -243,3 +257,47 @@ def test_result_json_shape():
                        "isometries": 8, "axial": 8, "formula": 8, "match": True,
                        "attempts": payload["attempts"], "non_axial": 0}
     assert "duration_s" in result.to_json_dict()
+
+
+def _decomposes(m) -> bool:
+    try:
+        decompose(m)
+    except (DecompositionError, UnderdeterminedError):
+        return False
+    return True
+
+
+def _spaces(cap: int):
+    return [(q, n) for q in (2, 3, 5, 7) for n in (1, 2, 3) if q ** n <= cap]
+
+
+@pytest.mark.parametrize("kind", ["one", "sup", "wsup"])
+def test_decompose_succeeds_exactly_on_the_naively_axial_found_maps(kind):
+    from ultranorm.errors import DEFAULT_SPACE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP
+
+    verdicts = set()
+    for q, n in _spaces(DEFAULT_SPACE_CAP if kind == "one" else DEFAULT_ULTRAMETRIC_SPACE_CAP):
+        spec = NormSpec.weighted_sup(range(1, n + 1)) if kind == "wsup" else NormSpec(kind)
+        result = enumerate_isometries(q, n, spec)
+        for perm in result.isometries:
+            axial = is_axial(perm, q, n)
+            assert _decomposes(result.probe_map(perm)) == axial, (q, n, perm)
+            verdicts.add(axial)
+    # every taxicab isometry is axial; the sup-type norms have non-axial ones on F_2^2
+    assert verdicts == ({True} if kind == "one" else {True, False})
+
+
+def test_decompose_succeeds_exactly_on_naively_axial_random_bijections():
+    import random
+
+    rng = random.Random(2021)
+    verdicts = set()
+    for q, n in _spaces(9):
+        points = tuple(enumerate_space(FieldSpec.gf(q), n))
+        for _ in range(60):
+            perm = rng.sample(range(len(points)), len(points))
+            m = ProbeMap(points, tuple(points[i] for i in perm), complete=True)
+            axial = is_axial(perm, q, n)
+            assert _decomposes(m) == axial, (q, n, perm)
+            verdicts.add(axial)
+    assert verdicts == {True, False}

@@ -267,3 +267,13 @@ def test_vector_equality_hash_and_immutability():
         with pytest.raises(AttributeError):
             delattr(v, name)
     assert v == same
+
+
+@pytest.mark.parametrize("coords", [[F3.scalar(1)], (c for c in (F3.scalar(1),))],
+                         ids=["list", "generator"])
+def test_vector_refuses_coords_that_are_not_a_tuple(coords):
+    from ultranorm import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match="^vector coords must be a tuple, got "):
+        Vector(F3, coords)
+    assert Vector(F3, (F3.scalar(1),)) == Vector.make(F3, [1])
