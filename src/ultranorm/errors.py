@@ -39,6 +39,13 @@ def quoted(value) -> str:
     return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
 
 
+def require_type(what: str, value, kind: type) -> None:
+    """Refuse a value whose type is not exactly `kind`: a list kept where an
+    immutable value expects a tuple would leave it unhashable and growable."""
+    if type(value) is not kind:
+        raise InvalidInputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 class UltranormError(Exception):
     """Base class for all domain errors raised by this package."""
 

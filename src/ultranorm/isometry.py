@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     UnderdeterminedError,
     quoted,
+    require_type,
 )
 from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, _Immutable, valuation
 from .spaces import NormSpec, Vector, distance, norm
@@ -72,7 +73,8 @@ class TableMap(_Immutable):
     Over a finite field the table must be a bijection of the whole field;
     over the rationals it is a partial table (the honest output of a
     decomposition whose axis data fits no affine map).  Entries are checked
-    for injectivity and exact metric preservation at construction.
+    for injectivity and exact metric preservation at construction.  The
+    lookup maps each input's raw value to its stored image `Scalar`.
     """
 
     __slots__ = ("entries", "_lookup")
@@ -80,22 +82,24 @@ class TableMap(_Immutable):
     def __init__(self, entries: tuple[tuple[Scalar, Scalar], ...]):
         if not entries:
             raise InvalidInputError("empty table")
+        require_type("table entries", entries, tuple)
         fld = entries[0][0].field
         for a, b in entries:
             if a.field is not fld or b.field is not fld:
                 entries[0][0]._check(a)
                 entries[0][0]._check(b)
-        lookup = dict(entries)
+        lookup = {a.value: b for a, b in entries}
         if len(lookup) != len(entries):
             raise InvalidInputError("duplicate table inputs")
-        for (a, fa), (b, fb) in itertools.combinations(entries, 2):
-            if fa == fb:
-                raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
-            # under the trivial valuation of gf:q, injectivity is metric preservation
-            if fld.kind != GF and valuation(a - b) != valuation(fa - fb):
-                raise InvalidInputError(
-                    f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
-                    f"but |{fa}-{fb}|={valuation(fa - fb)}")
+        # under the trivial valuation of gf:q, injectivity is metric preservation
+        if fld.kind != GF or len({b.value for _, b in entries}) != len(entries):
+            for (a, fa), (b, fb) in itertools.combinations(entries, 2):
+                if fa == fb:
+                    raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
+                if fld.kind != GF and valuation(a - b) != valuation(fa - fb):
+                    raise InvalidInputError(
+                        f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
+                        f"but |{fa}-{fb}|={valuation(fa - fb)}")
         if fld.kind == GF and len(entries) != fld.prime:
             raise InvalidInputError(
                 f"finite-field table must be a bijection of all {fld.prime} residues")
@@ -119,15 +123,14 @@ class TableMap(_Immutable):
         return self.entries[0][0].field
 
     def apply(self, a: Scalar) -> Scalar:
-        try:
-            return self._lookup[a]
-        except KeyError:
-            raise OutsideDomainError(f"value {a} not in isometry table") from None
+        image = self._lookup.get(a.value) if a.field is self.field else None
+        if image is None:
+            raise OutsideDomainError(f"value {a} not in isometry table")
+        return image
 
     @property
     def is_centred(self) -> bool:
-        zero = self.field.zero
-        return self._lookup.get(zero) == zero
+        return self._lookup.get(0) == self.field.zero
 
     def inverse(self) -> "TableMap":
         return TableMap(tuple((b, a) for a, b in self.entries))
@@ -198,6 +201,8 @@ class AxialIsometry(_Immutable):
 
     def __init__(self, sigma: tuple[int, ...], taus: tuple[ScalarIsometry, ...],
                  translation: Vector):
+        require_type("axial isometry sigma", sigma, tuple)
+        require_type("axial isometry taus", taus, tuple)
         n = translation.dim
         if len(sigma) != n or len(taus) != n:
             raise DimensionMismatchError(
@@ -297,6 +302,9 @@ class ProbeMap(_Immutable):
                  complete: bool = False):
         if not domain:
             raise InvalidInputError("empty probe map")
+        require_type("probe map domain", domain, tuple)
+        require_type("probe map images", images, tuple)
+        require_type("probe map complete", complete, bool)
         if len(domain) != len(images):
             raise InvalidInputError(f"{len(domain)} domain points vs {len(images)} images")
         fld, n = domain[0].field, domain[0].dim
@@ -450,33 +458,32 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     return report
 
 
-def _fit_tau(field: FieldSpec, entries: list[tuple[Scalar, Scalar]],
-             axis: int) -> ScalarIsometry:
+def _fit_tau(field: FieldSpec, entries: list[tuple], axis: int) -> ScalarIsometry:
     """Build the scalar isometry matching centred axis data exactly.
 
-    ``entries`` are (value, image) pairs with nonzero values, in probe order;
-    the implied (0, 0) entry is appended.  Finite fields demand the full
-    field on the axis and produce a table.  A centred tau fixes 0, so over
-    the rationals the only affine candidate is a -> (b0/a0)*a from the first
-    entry; it is validated on every entry, with a raw table as the fallback
-    when it does not match.
+    ``entries`` are raw (value, image) pairs (`Scalar.value`s) with nonzero
+    values, in probe order; the implied (0, 0) entry is appended.  Finite
+    fields demand the full field on the axis and produce a table of the
+    field's q element Scalars, each image reduced mod q.  A centred tau
+    fixes 0, so over the rationals the only affine candidate is
+    a -> (b0/a0)*a from the first entry; it is validated on every entry,
+    with a partial table as the fallback when it does not match.
     """
-    zero = field.zero
-    full = entries + [(zero, zero)]
+    full = entries + [(0, 0)]
     if field.kind == GF:
         if len(full) != field.prime:
-            missing = set(field.elements()) - {a for a, _ in full}
+            missing = set(range(field.prime)) - {a for a, _ in full}
             raise UnderdeterminedError(
                 f"axis {axis} lacks probes at {sorted(str(s) for s in missing)}", axis)
-        return TableMap(tuple(full))
-    a0, b0 = entries[0]
-    try:
-        affine = AffineMap(b0 * a0.inverse(), zero)
-        if all(affine.apply(a) == b for a, b in full):
-            return affine
-    except InvalidInputError:
-        pass
-    return TableMap(tuple(full))
+        elems = field.elements()
+        return TableMap(tuple((elems[a], elems[b % field.prime]) for a, b in full))
+    u = entries[0][1] / entries[0][0]
+    if all(u * a == b for a, b in entries):
+        try:
+            return AffineMap(Scalar(field, u), field.zero)
+        except InvalidInputError:   # u is not a unit
+            pass
+    return TableMap(tuple((Scalar(field, a), Scalar(field, b)) for a, b in full))
 
 
 def decompose(m: ProbeMap) -> AxialIsometry:
@@ -488,31 +495,35 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     from its axis data; every probe is replayed through the candidate.  A
     probe inconsistent with any axial form raises DecompositionError carrying
     that probe; axes without usable probes raise UnderdeterminedError.
+    All three steps compare raw values (`Vector._raw_values`); Scalars are
+    built only for the returned taus and for a failure's witness and message.
     """
     field, n = m.field, m.dim
+    q = field.prime if field.kind == GF else None
     t = None
     axis_pairs: list[list[tuple[Vector, Vector]]] = [[] for _ in range(n)]
     for x, img in zip(m.domain, m.images):
-        nz = [i for i, c in enumerate(x.coords) if not c.is_zero]
-        if not nz:
+        zeros = x._raw_values().count(0)
+        if zeros == n:
             t = img
-        elif len(nz) == 1:
-            axis_pairs[nz[0]].append((x, img))
+        elif zeros == n - 1:
+            axis_pairs[next(i for i, c in enumerate(x._raw_values()) if c)].append((x, img))
     if t is None:
         raise InvalidInputError("probe domain must contain the origin")
+    t_raw = t._raw_values()
 
     def failure(message: str, probe: Vector, image: Vector) -> DecompositionError:
         return DecompositionError(message, witness=(probe, image))
 
     # sigma[j] is the input axis that lands on output axis j
     sigma: list[int | None] = [None] * n
-    tau_data: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(n)]
+    tau_data: list[list[tuple]] = [[] for _ in range(n)]
     for i, pairs in enumerate(axis_pairs):
         if not pairs:
             raise UnderdeterminedError(f"axis {i} has no nonzero probes", i)
         target = None
         for probe, image in pairs:
-            moved = [j for j, (b, tj) in enumerate(zip(image.coords, t.coords)) if b != tj]
+            moved = [j for j, (b, tj) in enumerate(zip(image._raw_values(), t_raw)) if b != tj]
             if len(moved) != 1:
                 raise failure(f"image of axis probe {probe} is not on a single axis",
                               probe, image)
@@ -522,7 +533,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
                 raise failure(f"axis {i} probes land on axes {target} and {moved[0]}",
                               probe, image)
             tau_data[target].append(
-                (probe.coords[i], image.coords[target] - t.coords[target]))
+                (probe._raw_values()[i], image._raw_values()[target] - t_raw[target]))
         if sigma[target] is not None:
             raise failure(f"two axes map onto axis {target}", *pairs[0])
         sigma[target] = i
@@ -536,24 +547,26 @@ def decompose(m: ProbeMap) -> AxialIsometry:
                           *axis_pairs[i][0]) from None
 
     candidate = AxialIsometry(tuple(sigma), tuple(taus), t)
-    # output coordinate j of a probe is tau_j(x[sigma[j]]) + t_j, computed
-    # once per distinct input value
-    replay = [({}, i, tau, tj) for i, tau, tj in zip(sigma, taus, t.coords)]
+    # output coordinate j of a probe is tau_j(x[sigma[j]]) + t_j: the whole table of a
+    # table tau; per distinct input value for an affine tau (rationals only; centred, c = 0)
+    replay = [({} if type(tau) is AffineMap else
+               {a.value: (b.value + tj) % q if q else b.value + tj for a, b in tau.entries},
+               i, tau, tj) for i, tau, tj in zip(sigma, taus, t_raw)]
     for x, img in zip(m.domain, m.images):
+        x_raw = x._raw_values()
         got = []
-        for memo, i, tau, tj in replay:
-            a = x.coords[i]
-            b = memo.get(a.value)
+        for table, i, tau, tj in replay:
+            a = x_raw[i]
+            b = table.get(a)
             if b is None:
-                try:
-                    b = memo[a.value] = tau.apply(a) + tj
-                except OutsideDomainError as exc:
+                if type(tau) is TableMap:
                     raise UnderdeterminedError(
-                        f"cannot replay probe {x}: {exc.args[0]}", i) from None
+                        f"cannot replay probe {x}: value {a} not in isometry table", i)
+                b = table[a] = tau.u.value * a + tj
             got.append(b)
-        if tuple(got) != img.coords:
+        if tuple(got) != img._raw_values():
             raise failure(f"probe {x} maps to {img}, axial reconstruction gives "
-                          f"{Vector(field, tuple(got))}", x, img)
+                          f"{Vector.make(field, got)}", x, img)
     return candidate
 
 

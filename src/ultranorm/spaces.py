@@ -22,6 +22,7 @@ from .errors import (
     InvalidInputError,
     ParseError,
     quoted,
+    require_type,
 )
 from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable,
                      _multiplicity, valuation)
@@ -33,15 +34,15 @@ WSUP = "wsup"
 
 class Vector(_Immutable):
     """An n-tuple of scalars over a fixed field, n >= 1. Immutable; the hash
-    is computed on first use and kept."""
+    and the raw values (each coordinate's `Scalar.value`, an int residue or a
+    Fraction, which `decompose` compares) are computed on first use and kept."""
 
-    __slots__ = ("field", "coords", "_hash")
+    __slots__ = ("field", "coords", "_hash", "_raw")
 
     def __init__(self, field: FieldSpec, coords: tuple[Scalar, ...]):
         if not coords:
             raise InvalidInputError("vectors have dimension >= 1")
-        if type(coords) is not tuple:   # a list would leave the vector unhashable and growable
-            raise InvalidInputError(f"vector coords must be a tuple, got {type(coords).__name__}")
+        require_type("vector coords", coords, tuple)
         for c in coords:
             if c.field is not field:
                 raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
@@ -60,6 +61,13 @@ class Vector(_Immutable):
             h = hash((self.field, self.coords))
             object.__setattr__(self, "_hash", h)
             return h
+
+    def _raw_values(self) -> tuple:
+        try:
+            return self._raw
+        except AttributeError:
+            object.__setattr__(self, "_raw", tuple(c.value for c in self.coords))
+            return self._raw
 
     @classmethod
     def make(cls, field: FieldSpec, values) -> "Vector":

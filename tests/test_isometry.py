@@ -590,3 +590,64 @@ def test_frozen_classes_survive_pickle_and_copy(name, copier):
             assert back.image_of(x) == y
         with pytest.raises(AttributeError):
             back.complete = False
+
+
+# -- raw values and tuple arguments ----------------------------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda x, y, tau: ProbeMap([x, y], (y, x)), "probe map domain must be a tuple, got list"),
+    (lambda x, y, tau: ProbeMap((x, y), [y, x]), "probe map images must be a tuple, got list"),
+    (lambda x, y, tau: ProbeMap((x, y), (y, x), complete=1),
+     "probe map complete must be a bool, got int"),
+    (lambda x, y, tau: TableMap(list(tau.entries)), "table entries must be a tuple, got list"),
+    (lambda x, y, tau: AxialIsometry([0], (tau,), x), "axial isometry sigma must be a tuple, got list"),
+    (lambda x, y, tau: AxialIsometry((0,), [tau], x), "axial isometry taus must be a tuple, got list"),
+], ids=["domain", "images", "complete", "entries", "sigma", "taus"])
+def test_value_classes_refuse_lists_and_a_non_bool_complete(build, message):
+    # a list would leave the value unhashable and growable, and complete=1
+    # would print "complete":1
+    x, y, tau = _v(F2, "0"), _v(F2, "1"), TableMap.from_residues(F2, [1, 0])
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build(x, y, tau)
+    assert hash(ProbeMap((x, y), (y, x), complete=True))
+    assert hash(AxialIsometry((0,), (tau,), x)) == hash(AxialIsometry((0,), (tau,), x))
+
+
+@pytest.mark.parametrize("table, stranger", [
+    (TableMap.from_residues(FieldSpec.gf(3), [0, 2, 1]), F5.scalar(1)),
+    (TableMap.from_pairs(Q3, [(0, 0), (1, 2)]), FieldSpec.trivial().scalar(Fraction(1))),
+], ids=["gf:3-gf:5", "padic:3-trivial:q"])
+def test_table_apply_refuses_an_equal_raw_value_from_another_field(table, stranger):
+    own = table.field.scalar(1)
+    assert own.value == stranger.value and table.apply(own) is table.entries[1][1]
+    with pytest.raises(OutsideDomainError, match="^value 1 not in isometry table$"):
+        table.apply(stranger)
+
+
+@pytest.mark.parametrize("table, centred", [
+    (TableMap.from_residues(F5, [0, 2, 4, 1, 3]), True),
+    (TableMap.from_residues(F5, [1, 2, 3, 4, 0]), False),
+    (TableMap.from_pairs(Q3, [(1, 2), (0, 0), (3, 6)]), True),
+    (TableMap.from_pairs(Q3, [(0, 1), (1, 0)]), False),
+    (TableMap.from_pairs(Q3, [(1, 2), (3, 6)]), False),
+], ids=["gf-full-centred", "gf-full-shifted", "partial-centred", "partial-shifted", "zero-less"])
+def test_table_is_centred(table, centred):
+    assert table.is_centred is centred
+
+
+@pytest.mark.parametrize("copier", ["pickle", "deepcopy", "copy"])
+def test_vectors_with_a_filled_raw_cache_survive_pickle_and_copy(copier):
+    import copy
+    import pickle
+
+    copy_of = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+               "deepcopy": copy.deepcopy, "copy": copy.copy}[copier]
+    f3 = FieldSpec.gf(3)
+    points = enumerate_space(f3, 2)
+    iso = AxialIsometry((1, 0), (TableMap.from_residues(f3, [0, 2, 1]),) * 2, _v(f3, "1,2"))
+    expected = decompose(ProbeMap.from_isometry(iso, points, complete=True))   # fills the caches
+    back = [copy_of(p) for p in points]
+    assert back == points and [hash(p) for p in back] == [hash(p) for p in points]
+    assert decompose(ProbeMap.from_isometry(iso, back, complete=True)) == expected
+    assert expected.to_json_dict() == iso.to_json_dict()

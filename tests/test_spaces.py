@@ -277,3 +277,10 @@ def test_vector_refuses_coords_that_are_not_a_tuple(coords):
     with pytest.raises(InvalidInputError, match="^vector coords must be a tuple, got "):
         Vector(F3, coords)
     assert Vector(F3, (F3.scalar(1),)) == Vector.make(F3, [1])
+
+
+@pytest.mark.parametrize("left, right", [(F3, FieldSpec.gf(5)), (Q3, TQ)], ids=["gf", "rational"])
+def test_vectors_with_equal_raw_values_over_different_fields_differ(left, right):
+    x, y = Vector.make(left, [1, 2]), Vector.make(right, [1, 2])
+    assert x._raw_values() == y._raw_values()
+    assert x != y and hash(x) != hash(y) and len({x, y}) == 2
