@@ -92,9 +92,7 @@ def minimize_two_point(
     return distance(c, a, _ONE), segment(a, c, cap)
 
 
-def uniqueness_check(
-    a: Vector, c: Vector, d1: Magnitude, d2: Magnitude, cap: int | None = None
-) -> list[Vector]:
+def uniqueness_check(a: Vector, c: Vector, d1: Magnitude, d2: Magnitude) -> list[Vector]:
     """All segment points b with ||c - b||_1 = d1 and ||b - a||_1 = d2.
 
     Requires dimension 2 and d1 + d2 = ||c - a||_1.  The result is a single
@@ -108,6 +106,6 @@ def uniqueness_check(
         raise InvalidInputError(f"d1 + d2 = {d1 + d2} != ||c - a||_1 = {total}")
     return [
         b
-        for b in segment(a, c, cap).points
+        for b in segment(a, c).points
         if distance(c, b, _ONE) == d1 and distance(b, a, _ONE) == d2
     ]

@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
@@ -87,15 +88,20 @@ def _read_probes(source: str) -> ProbeMap:
 
 
 def _payload(args) -> dict:
-    """Run the subcommand; an exact result too long to print is a domain error."""
+    """Run the subcommand; an exact result too long to print is a domain error.
+    With --timing, the handler's wall-clock seconds come last, as duration_s."""
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        payload = args.handler(args)
     except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
         if "sys.set_int_max_str_digits" not in str(exc):
             raise
         raise InvalidInputError(
             f"result has a number past the {sys.get_int_max_str_digits()}-digit "
             "limit for printing integers") from None
+    if getattr(args, "timing", False):
+        payload["duration_s"] = time.perf_counter() - t0
+    return payload
 
 
 def _vec(args, name: str) -> Vector:
@@ -166,12 +172,11 @@ def _cmd_counterexample(args) -> dict:
 def _cmd_enumerate(args) -> dict:
     result = oracle.enumerate_isometries(
         args.q, args.n, args.norm, centred=args.centred, cap=args.cap)
-    return result.to_json_dict(timing=args.timing)
+    return result.to_json_dict()
 
 
 def _cmd_check_betweenness(args) -> dict:
-    report = oracle.exhaustive_betweenness_check(args.q, args.n, args.cap)
-    return report.to_json_dict(timing=args.timing)
+    return oracle.exhaustive_betweenness_check(args.q, args.n, args.cap).to_json_dict()
 
 
 def _cmd_check_axioms(args) -> dict:
@@ -265,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--centred", action="store_true", help="only maps fixing 0")
     cmd.add_argument("--cap", type=int, default=None,
                      help="max points (default 9; 7 for sup and wsup)")
-    cmd.add_argument("--timing", action="store_true", help="include wall-clock duration")
+    cmd.add_argument("--timing", action="store_true", help="append wall-clock duration_s")
 
     cmd = add("check-betweenness", _cmd_check_betweenness,
               "exhaustively compare metric and coordinate betweenness")
     cmd.add_argument("--q", type=int, required=True)
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--cap", type=int, default=None, help="max triples (default 10^7)")
-    cmd.add_argument("--timing", action="store_true")
+    cmd.add_argument("--timing", action="store_true", help="append wall-clock duration_s")
 
     cmd = add("check-axioms", _cmd_check_axioms,
               "randomized valuation (and norm) axiom sweep")

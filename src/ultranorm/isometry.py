@@ -83,6 +83,10 @@ class TableMap(_Immutable):
         if not entries:
             raise InvalidInputError("empty table")
         require_type("table entries", entries, tuple)
+        for entry in entries:
+            if type(entry) is not tuple or len(entry) != 2:   # the fast test
+                require_type("table entry", entry, tuple)
+                raise InvalidInputError(f"table entry must be a pair, got {len(entry)} items")
         fld = entries[0][0].field
         for a, b in entries:
             if a.field is not fld or b.field is not fld:
@@ -207,6 +211,9 @@ class AxialIsometry(_Immutable):
         if len(sigma) != n or len(taus) != n:
             raise DimensionMismatchError(
                 f"sigma/taus/translation lengths {len(sigma)}/{len(taus)}/{n}")
+        if set(map(type, sigma)) != {int}:   # a bool would pass as 0 or 1
+            raise InvalidInputError(
+                f"axial isometry sigma entries must be ints, got {quoted(sigma)}")
         if sorted(sigma) != list(range(n)):
             raise InvalidInputError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
         for tau in taus:
@@ -393,7 +400,7 @@ class IsometryReport:
                  "surjective", "violation_count", "collision_count")
 
     def __init__(self, norm: str, probes: int):
-        self.norm, self.probes, self.pairs_checked = norm, probes, 0
+        self.norm, self.probes, self.pairs_checked = norm, probes, probes * (probes - 1) // 2
         self.distance_violations: list = []   # the first WITNESS_LIMIT
         self.collisions: list = []            # the first WITNESS_LIMIT
         self.surjective: bool | None = None
@@ -443,7 +450,6 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
         d_dom = distance(x, y, spec)
         d_img = distance(fx, fy, spec)
-        report.pairs_checked += 1
         if d_dom != d_img:
             report.violation_count += 1
             if len(report.distance_violations) < WITNESS_LIMIT:
@@ -472,9 +478,14 @@ def _fit_tau(field: FieldSpec, entries: list[tuple], axis: int) -> ScalarIsometr
     full = entries + [(0, 0)]
     if field.kind == GF:
         if len(full) != field.prime:
-            missing = set(range(field.prime)) - {a for a, _ in full}
+            present = {a for a, _ in full}
+            # the lazy scan stops at the WITNESS_LIMIT-th gap, so q may be near 2^32
+            named = list(itertools.islice(
+                (r for r in range(field.prime) if r not in present), WITNESS_LIMIT))
+            more = field.prime - len(present) - len(named)
+            tail = f" and {more} more" if more else ""
             raise UnderdeterminedError(
-                f"axis {axis} lacks probes at {sorted(str(s) for s in missing)}", axis)
+                f"axis {axis} lacks probes at {sorted(str(s) for s in named)}{tail}", axis)
         elems = field.elements()
         return TableMap(tuple((elems[a], elems[b % field.prime]) for a, b in full))
     u = entries[0][1] / entries[0][0]

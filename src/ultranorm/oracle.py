@@ -12,7 +12,6 @@ against these enumerations, never assumed by them.
 
 from __future__ import annotations
 
-import time
 from math import factorial
 
 from .betweenness import coordinate_between, is_metrically_between
@@ -39,7 +38,7 @@ class EnumerationResult:
     """Outcome of a full isometry search over F_q^n."""
 
     __slots__ = ("q", "n", "norm", "centred", "points", "isometries", "attempts", "axial",
-                 "non_axial_witnesses", "duration")
+                 "non_axial_witnesses")
 
     def __init__(self, q: int, n: int, norm: NormSpec, centred: bool,
                  points: tuple[Vector, ...], isometries: tuple[tuple[int, ...], ...],
@@ -47,7 +46,7 @@ class EnumerationResult:
         self.q, self.n, self.norm, self.centred, self.points = q, n, norm, centred, points
         self.isometries = isometries   # image-index tuples, search order
         self.attempts = attempts       # free candidates over all search nodes
-        self.axial, self.non_axial_witnesses, self.duration = axial, [], 0.0
+        self.axial, self.non_axial_witnesses = axial, []
 
     @property
     def count(self) -> int:
@@ -64,8 +63,8 @@ class EnumerationResult:
     def probe_map(self, perm: tuple[int, ...]) -> ProbeMap:
         return ProbeMap(self.points, tuple(self.points[i] for i in perm), complete=True)
 
-    def to_json_dict(self, timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "q": self.q,
             "n": self.n,
             "norm": str(self.norm),
@@ -77,9 +76,6 @@ class EnumerationResult:
             "attempts": self.attempts,
             "non_axial": len(self.non_axial_witnesses),
         }
-        if timing:
-            out["duration_s"] = self.duration
-        return out
 
 
 def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
@@ -144,7 +140,6 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     EnumerationTooLargeError.check(q, n, cap, f"F_{q}^{n}")
     field = FieldSpec.gf(q)
 
-    t0 = time.perf_counter()
     points = enumerate_space(field, n)
     dist = [[distance(x, y, spec) for y in points] for x in points]
     # lexicographic order puts the origin first; centred pins it
@@ -159,26 +154,24 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
             result.axial += 1
         except (DecompositionError, UnderdeterminedError) as exc:
             result.non_axial_witnesses.append({"map": list(perm), "reason": str(exc)})
-    result.duration = time.perf_counter() - t0
     return result
 
 
 class BetweennessReport:
     """Exhaustive check that metric and coordinate betweenness coincide."""
 
-    __slots__ = ("q", "n", "triples", "mismatches", "first_mismatches", "duration")
+    __slots__ = ("q", "n", "triples", "mismatches", "first_mismatches")
 
     def __init__(self, q: int, n: int):
-        self.q, self.n, self.triples, self.mismatches = q, n, 0, 0
+        self.q, self.n, self.triples, self.mismatches = q, n, q ** (3 * n), 0
         self.first_mismatches: list = []
-        self.duration = 0.0
 
     @property
     def ok(self) -> bool:
         return self.mismatches == 0
 
-    def to_json_dict(self, timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "q": self.q,
             "n": self.n,
             "triples": self.triples,
@@ -189,9 +182,6 @@ class BetweennessReport:
                 for x, z, y, m, c in self.first_mismatches
             ],
         }
-        if timing:
-            out["duration_s"] = self.duration
-        return out
 
 
 def exhaustive_betweenness_check(q: int, n: int,
@@ -205,18 +195,15 @@ def exhaustive_betweenness_check(q: int, n: int,
                                    f"triples of F_{q}^{n}")
     points = enumerate_space(FieldSpec.gf(q), n)
     report = BetweennessReport(q=q, n=n)
-    t0 = time.perf_counter()
     for x in points:
         for z in points:
             for y in points:
                 metric = is_metrically_between(x, z, y)
                 coord = coordinate_between(x, z, y)
-                report.triples += 1
                 if metric != coord:
                     report.mismatches += 1
                     if len(report.first_mismatches) < WITNESS_LIMIT:
                         report.first_mismatches.append((x, z, y, metric, coord))
-    report.duration = time.perf_counter() - t0
     return report
 
 
@@ -257,6 +244,7 @@ def group_closure_check(result: EnumerationResult) -> ClosureReport:
     n_points = len(result.points)
     report = ClosureReport(size=len(perms))
     report.has_identity = tuple(range(n_points)) in perms
+    report.compositions_checked = len(result.isometries) ** 2
     for f in result.isometries:
         inv = [0] * n_points
         for i, fi in enumerate(f):
@@ -267,7 +255,6 @@ def group_closure_check(result: EnumerationResult) -> ClosureReport:
                 report.missing.append({"inverse_of": list(f)})
         for g in result.isometries:
             comp = tuple(f[g[i]] for i in range(n_points))
-            report.compositions_checked += 1
             if comp not in perms:
                 report.closed = False
                 if len(report.missing) < WITNESS_LIMIT:

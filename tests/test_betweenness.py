@@ -176,6 +176,14 @@ def test_uniqueness_check_spec_examples():
         uniqueness_check(a, c, Fraction(1), Fraction(1))
 
 
+def test_uniqueness_check_takes_no_cap():
+    # dimension 2 bounds the segment at 4 points, so a cap could only refuse valid input
+    a, c = _v(Q3, "0,0"), _v(Q3, "1,1")
+    assert len(uniqueness_check(a, c, Fraction(1), Fraction(1))) == 2
+    with pytest.raises(TypeError):
+        uniqueness_check(a, c, Fraction(1), Fraction(1), cap=1)
+
+
 def test_sup_coordinate_characterization_fails():
     # Under the sup norm the coordinate condition no longer describes the
     # metric relation.  Over F_2^2 the sup distance is discrete, so a

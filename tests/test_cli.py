@@ -84,6 +84,31 @@ def test_enumerate_subcommand(capsys):
     assert code == 0 and "duration_s" in payload
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--q", "2", "--n", "2"),
+                                  ("check-betweenness", "--q", "2", "--n", "2")],
+                         ids=["enumerate", "check-betweenness"])
+def test_timing_appends_duration_as_the_last_key(capsys, argv):
+    code, plain = run_json(capsys, *argv)
+    timed_code, timed = run_json(capsys, *argv, "--timing")
+    assert code == timed_code == 0 and "duration_s" not in plain
+    assert list(timed)[-1] == "duration_s" and timed.pop("duration_s") >= 0
+    assert list(timed.items()) == list(plain.items())
+
+
+def test_decompose_names_at_most_ten_missing_residues(capsys, tmp_path):
+    # the origin and one axis probe over gf:1000003: 1000001 residues are missing
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps(
+        {"field": "gf:1000003", "n": 1, "pairs": [[["0"], ["0"]], [["1"], ["1"]]]}))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "decompose", "--probes", str(probes))
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and len(out.encode()) < 1024
+    error = json.loads(out)["error"]
+    assert error["type"] == "under-determined" and error["axis"] == 0
+    assert error["message"].endswith("'9'] and 999991 more")
+
+
 def test_check_betweenness_subcommand(capsys):
     code, payload = run_json(capsys, "check-betweenness", "--q", "2", "--n", "3")
     assert code == 0

@@ -651,3 +651,39 @@ def test_vectors_with_a_filled_raw_cache_survive_pickle_and_copy(copier):
     assert back == points and [hash(p) for p in back] == [hash(p) for p in points]
     assert decompose(ProbeMap.from_isometry(iso, back, complete=True)) == expected
     assert expected.to_json_dict() == iso.to_json_dict()
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda one: [one, one], "table entry must be a tuple, got list"),
+    (lambda one: (one,), "table entry must be a pair, got 1 items"),
+    (lambda one: (one, one, one), "table entry must be a pair, got 3 items"),
+], ids=["a-list", "one-item", "three-items"])
+def test_table_refuses_an_entry_that_is_not_a_pair(entry, message):
+    # a list pair would leave the table unhashable; a short or long one would
+    # fail to unpack with a bare ValueError
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        TableMap(((F2.zero, F2.zero), entry(F2.one)))
+
+
+def test_axial_isometry_refuses_bool_sigma_entries():
+    # sorted((True, False)) == [0, 1], and the JSON would print [true,false]
+    taus = (TableMap.from_residues(F5, [0, 2, 4, 1, 3]), AffineMap(F5.one, F5.zero))
+    with pytest.raises(InvalidInputError,
+                       match=r"^axial isometry sigma entries must be ints, got \(True, False\)$"):
+        AxialIsometry((True, False), taus, _v(F5, "1,2"))
+    iso = AxialIsometry((1, 0), taus, _v(F5, "1,2"))
+    assert AxialIsometry.from_json(iso.to_json_dict()) == iso
+
+
+@pytest.mark.parametrize("q, message", [
+    (11, "axis 0 lacks probes at ['10', '2', '3', '4', '5', '6', '7', '8', '9']"),
+    (13, "axis 0 lacks probes at ['10', '11', '2', '3', '4', '5', '6', '7', '8', '9'] and 1 more"),
+    (1000003, "axis 0 lacks probes at ['10', '11', '2', '3', '4', '5', '6', '7', '8', '9'] "
+              "and 999991 more"),
+], ids=["nine-missing", "eleven-missing", "q-near-a-million"])
+def test_underdetermined_message_names_at_most_ten_missing_residues(q, message):
+    field = FieldSpec.gf(q)
+    m = ProbeMap((_v(field, "0"), _v(field, "1")), (_v(field, "0"), _v(field, "1")))
+    with pytest.raises(UnderdeterminedError) as err:
+        decompose(m)
+    assert str(err.value) == message and err.value.axis == 0

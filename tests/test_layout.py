@@ -4,7 +4,9 @@ Every enumeration cap lives in `errors.py`, and `errors.py` imports nothing
 from the package, so any module can read a cap without an import cycle.
 Both rules are read from the source with `ast` alone; the modules that used
 to own a cap still export it.  No module imports `dataclasses`, and every
-value and report class is slotted: its instances carry no `__dict__`.
+value and report class is slotted: its instances carry no `__dict__`.  Only
+`cli.py` imports `time`: reports hold findings, and the CLI's --timing is the
+one clock.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ def test_no_module_imports_dataclasses(path):
         elif isinstance(node, ast.Import):
             assert all(a.name != "dataclasses" for a in node.names), \
                 f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_reads_the_clock(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "time", f"{path.name} imports from time"
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "time" for a in node.names), f"{path.name} imports time"
 
 
 def _instances():

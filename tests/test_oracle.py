@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -184,7 +185,7 @@ def test_betweenness_exhaustive_small():
     assert report.triples == 729 and report.mismatches == 0
     report = exhaustive_betweenness_check(2, 3)
     assert report.triples == 512 and report.mismatches == 0
-    payload = report.to_json_dict(timing=False)
+    payload = report.to_json_dict()
     assert payload == {"q": 2, "n": 3, "triples": 512, "mismatches": 0,
                        "ok": True, "witnesses": []}
 
@@ -252,11 +253,27 @@ def test_group_closure_keeps_first_ten_missing():
 
 def test_result_json_shape():
     result = enumerate_isometries(2, 2)
-    payload = result.to_json_dict(timing=False)
+    payload = result.to_json_dict()
     assert payload == {"q": 2, "n": 2, "norm": "one", "centred": False,
                        "isometries": 8, "axial": 8, "formula": 8, "match": True,
                        "attempts": payload["attempts"], "non_axial": 0}
-    assert "duration_s" in result.to_json_dict()
+    assert "duration_s" not in result.to_json_dict()
+
+
+@pytest.mark.parametrize("check", [lambda: enumerate_isometries(2, 2),
+                                   lambda: exhaustive_betweenness_check(2, 2)],
+                         ids=["EnumerationResult", "BetweennessReport"])
+def test_reports_carry_no_clock(check):
+    first, second = check(), check()
+    assert not hasattr(first, "duration")
+    assert "duration_s" not in first.to_json_dict()
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
+    with pytest.raises(TypeError):
+        first.to_json_dict(timing=True)
+
+
+def test_closure_checks_every_ordered_pair():
+    assert group_closure_check(enumerate_isometries(2, 2)).compositions_checked == 8 ** 2
 
 
 def _decomposes(m) -> bool:
