@@ -65,7 +65,7 @@ def segment(x: Vector, y: Vector, cap: int | None = None) -> SegmentEnumeration:
     """Enumerate the metric segment between x and y under the taxicab norm.
 
     Raises EnumerationTooLargeError when 2**k would exceed the cap (default
-    2**16).
+    DEFAULT_ENUM_CAP).
     """
     positions = differing_positions(x, y)
     k = len(positions)

@@ -18,8 +18,9 @@ import time
 from fractions import Fraction
 
 from . import betweenness, oracle, sampling
-from .errors import (DEFAULT_ENUM_CAP, VERIFY_CAP, EnumerationTooLargeError, InvalidInputError,
-                     ParseError, UltranormError, quoted)
+from .errors import (DEFAULT_ENUM_CAP, DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP,
+                     DEFAULT_ULTRAMETRIC_SPACE_CAP, VERIFY_CAP, EnumerationTooLargeError,
+                     InvalidInputError, ParseError, UltranormError, quoted)
 from .fields import FieldSpec, check_valuation_axioms
 from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
@@ -216,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     field_kw = dict(required=True, metavar="FIELD",
                     help="padic:p, gf:q, or trivial:q")
     norm_kw = dict(metavar="NORM", help="one, sup, or wsup:w1,w2,...")
+    segment_cap_kw = dict(type=int, default=None, help=f"max points (default {DEFAULT_ENUM_CAP})")
 
     cmd = add("norm", _cmd_norm, "norm of a vector")
     cmd.add_argument("--field", **field_kw)
@@ -238,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--field", **field_kw)
     cmd.add_argument("--x", required=True)
     cmd.add_argument("--y", required=True)
-    cmd.add_argument("--cap", type=int, default=None, help="max points (default 2^16)")
+    cmd.add_argument("--cap", **segment_cap_kw)
 
     cmd = add("minimize", _cmd_minimize, "minimize ||c-b|| + ||b-a|| over b")
     cmd.add_argument("--field", **field_kw)
     cmd.add_argument("--a", required=True)
     cmd.add_argument("--c", required=True)
-    cmd.add_argument("--cap", type=int, default=None)
+    cmd.add_argument("--cap", **segment_cap_kw)
 
     cmd = add("verify", _cmd_verify, "verify a probe map preserves distances")
     cmd.add_argument("--norm", required=True, **norm_kw)
@@ -269,14 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--norm", default=NormSpec.one(), **norm_kw)
     cmd.add_argument("--centred", action="store_true", help="only maps fixing 0")
     cmd.add_argument("--cap", type=int, default=None,
-                     help="max points (default 9; 7 for sup and wsup)")
+                     help=f"max points (default {DEFAULT_SPACE_CAP}; "
+                          f"{DEFAULT_ULTRAMETRIC_SPACE_CAP} for sup and wsup)")
     cmd.add_argument("--timing", action="store_true", help="append wall-clock duration_s")
 
     cmd = add("check-betweenness", _cmd_check_betweenness,
               "exhaustively compare metric and coordinate betweenness")
     cmd.add_argument("--q", type=int, required=True)
     cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--cap", type=int, default=None, help="max triples (default 10^7)")
+    cmd.add_argument("--cap", type=int, default=None,
+                     help=f"max triples (default {DEFAULT_TRIPLE_CAP})")
     cmd.add_argument("--timing", action="store_true", help="append wall-clock duration_s")
 
     cmd = add("check-axioms", _cmd_check_axioms,
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--norm", default=None, **norm_kw)
     cmd.add_argument("--dim", type=int, default=2)
     cmd.add_argument("--samples", type=int, default=500,
-                     help="samples (x dim with --norm) at most 2^16")
+                     help=f"samples (x dim with --norm) at most {DEFAULT_ENUM_CAP}")
     cmd.add_argument("--seed", type=int, default=0)
 
     return parser

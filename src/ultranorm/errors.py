@@ -39,11 +39,13 @@ def quoted(value) -> str:
     return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
 
 
-def require_type(what: str, value, kind: type) -> None:
-    """Refuse a value whose type is not exactly `kind`: a list kept where an
-    immutable value expects a tuple would leave it unhashable and growable."""
-    if type(value) is not kind:
-        raise InvalidInputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+def require_type(what: str, value, *kinds: type) -> None:
+    """Refuse a value whose type is not exactly one of `kinds`: a list kept
+    where an immutable value expects a tuple would leave it unhashable and
+    growable, and a value of another class would fail later as a bug."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidInputError(f"{what} must be a {names}, got {type(value).__name__}")
 
 
 class UltranormError(Exception):

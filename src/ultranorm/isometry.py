@@ -29,7 +29,7 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import GF, PADIC, FieldSpec, Magnitude, Scalar, _Immutable, valuation
+from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, valuation
 from .spaces import NormSpec, Vector, distance, norm
 
 
@@ -39,6 +39,8 @@ class AffineMap(_Immutable):
     __slots__ = ("u", "c")
 
     def __init__(self, u: Scalar, c: Scalar):
+        require_type("affine slope", u, Scalar)
+        require_type("affine offset", c, Scalar)
         u._check(c)
         if valuation(u) != 1:
             raise InvalidInputError(f"affine slope must be a unit, |{u}| = {valuation(u)}")
@@ -74,7 +76,8 @@ class TableMap(_Immutable):
     over the rationals it is a partial table (the honest output of a
     decomposition whose axis data fits no affine map).  Entries are checked
     for injectivity and exact metric preservation at construction.  The
-    lookup maps each input's raw value to its stored image `Scalar`.
+    lookup maps each input's raw value to its stored image `Scalar`; two
+    tables are equal when their lookups are, whatever the order of entries.
     """
 
     __slots__ = ("entries", "_lookup")
@@ -87,28 +90,47 @@ class TableMap(_Immutable):
             if type(entry) is not tuple or len(entry) != 2:   # the fast test
                 require_type("table entry", entry, tuple)
                 raise InvalidInputError(f"table entry must be a pair, got {len(entry)} items")
-        fld = entries[0][0].field
+        first = entries[0][0]
+        require_type("table value", first, Scalar)
+        fld = first.field
         for a, b in entries:
-            if a.field is not fld or b.field is not fld:
-                entries[0][0]._check(a)
-                entries[0][0]._check(b)
+            if (type(a) is not Scalar or type(b) is not Scalar
+                    or a.field is not fld or b.field is not fld):   # the fast test
+                for c in (a, b):
+                    require_type("table value", c, Scalar)
+                    first._check(c)
         lookup = {a.value: b for a, b in entries}
         if len(lookup) != len(entries):
             raise InvalidInputError("duplicate table inputs")
-        # under the trivial valuation of gf:q, injectivity is metric preservation
-        if fld.kind != GF or len({b.value for _, b in entries}) != len(entries):
+        if fld.kind == PADIC:
             for (a, fa), (b, fb) in itertools.combinations(entries, 2):
                 if fa == fb:
                     raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
-                if fld.kind != GF and valuation(a - b) != valuation(fa - fb):
+                if valuation(a - b) != valuation(fa - fb):
                     raise InvalidInputError(
                         f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                         f"but |{fa}-{fb}|={valuation(fa - fb)}")
+        elif len({b.value for _, b in entries}) != len(entries):
+            # trivially valued, so injectivity is metric preservation.  The first colliding
+            # pair in combinations order is the first two inputs of the earliest repeated image
+            inputs: dict[Scalar, list[Scalar]] = {}
+            for a, fa in entries:
+                inputs.setdefault(fa, []).append(a)
+            fa, (a, b, *_) = next(item for item in inputs.items() if len(item[1]) > 1)
+            raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
         if fld.kind == GF and len(entries) != fld.prime:
             raise InvalidInputError(
                 f"finite-field table must be a bijection of all {fld.prime} residues")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_lookup", lookup)
+
+    def __eq__(self, other):
+        if type(other) is not TableMap:
+            return NotImplemented
+        return self._lookup == other._lookup   # the image Scalars carry the field
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._lookup.items()))
 
     @classmethod
     def from_residues(cls, field: FieldSpec, images) -> "TableMap":
@@ -178,14 +200,10 @@ def scalar_isometry_from_json(field: FieldSpec, obj) -> ScalarIsometry:
 def _compose_scalar(outer: ScalarIsometry, inner: ScalarIsometry,
                     shift: Scalar) -> ScalarIsometry:
     """The scalar isometry a -> outer(inner(a) + shift), in closed form."""
-    fld = shift.field
     if isinstance(outer, AffineMap) and isinstance(inner, AffineMap):
         u = outer.u * inner.u
         c = outer.u * (inner.c + shift) + outer.c
         return AffineMap(u, c)
-    if fld.kind == GF:
-        return TableMap(tuple(
-            (a, outer.apply(inner.apply(a) + shift)) for a in fld.elements()))
     if isinstance(inner, TableMap):
         return TableMap(tuple(
             (a, outer.apply(b + shift)) for a, b in inner.entries))
@@ -207,6 +225,7 @@ class AxialIsometry(_Immutable):
                  translation: Vector):
         require_type("axial isometry sigma", sigma, tuple)
         require_type("axial isometry taus", taus, tuple)
+        require_type("axial isometry translation", translation, Vector)
         n = translation.dim
         if len(sigma) != n or len(taus) != n:
             raise DimensionMismatchError(
@@ -217,7 +236,8 @@ class AxialIsometry(_Immutable):
         if sorted(sigma) != list(range(n)):
             raise InvalidInputError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
         for tau in taus:
-            if tau.field is not translation.field:
+            if type(tau) not in (AffineMap, TableMap) or tau.field is not translation.field:
+                require_type("axial isometry tau", tau, TableMap, AffineMap)
                 raise FieldMismatchError("tau field differs from translation field")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "taus", taus)
@@ -314,9 +334,11 @@ class ProbeMap(_Immutable):
         require_type("probe map complete", complete, bool)
         if len(domain) != len(images):
             raise InvalidInputError(f"{len(domain)} domain points vs {len(images)} images")
+        require_type("probe map point", domain[0], Vector)
         fld, n = domain[0].field, domain[0].dim
         for v in itertools.chain(domain, images):
-            if v.field is not fld or v.dim != n:   # the fast test; _check raises
+            if type(v) is not Vector or v.field is not fld or v.dim != n:   # the fast test
+                require_type("probe map point", v, Vector)
                 domain[0]._check(v)
         lookup = dict(zip(domain, images))
         if len(lookup) != len(domain):
@@ -333,13 +355,9 @@ class ProbeMap(_Immutable):
         object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
-    def from_callable(cls, fn, points, complete: bool = False) -> "ProbeMap":
-        pts = tuple(points)
-        return cls(pts, tuple(fn(x) for x in pts), complete)
-
-    @classmethod
     def from_isometry(cls, iso: AxialIsometry, points, complete: bool = False) -> "ProbeMap":
-        return cls.from_callable(iso.apply, points, complete)
+        pts = tuple(points)
+        return cls(pts, tuple(map(iso.apply, pts)), complete)
 
     @property
     def field(self) -> FieldSpec:

@@ -130,8 +130,9 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     The bitset search (`_search`) places only images whose distances to
     every image placed so far match.  Each found bijection is then
     classified through `decompose`: success means axial, failure is
-    recorded with its witness.  Guarded by q**n <= cap (default 9, or 7
-    for the ultrametric sup and weighted sup norms).
+    recorded with its witness.  Guarded by q**n <= cap (default
+    DEFAULT_SPACE_CAP, or DEFAULT_ULTRAMETRIC_SPACE_CAP for the ultrametric
+    sup and weighted sup norms).
     """
     if spec is None:
         spec = NormSpec.one()

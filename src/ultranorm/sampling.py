@@ -107,7 +107,7 @@ def _value_ladder(field: FieldSpec) -> list[Fraction]:
 def grid_from_values(field: FieldSpec, n: int, values) -> list[Vector]:
     """The full product grid: every vector with coordinates drawn from
     `values`, in lexicographic order over the given value order.  Capped
-    like a segment at 2**16 points."""
+    like a segment at DEFAULT_ENUM_CAP points."""
     EnumerationTooLargeError.check(len(values), n, DEFAULT_ENUM_CAP,
                                    f"{len(values)} values in {n} dimensions")
     scalars = [field.scalar(v) for v in values]

@@ -40,11 +40,13 @@ class Vector(_Immutable):
     __slots__ = ("field", "coords", "_hash", "_raw")
 
     def __init__(self, field: FieldSpec, coords: tuple[Scalar, ...]):
-        if not coords:
-            raise InvalidInputError("vectors have dimension >= 1")
-        require_type("vector coords", coords, tuple)
+        if type(coords) is not tuple or not coords:   # the fast test
+            if not coords:
+                raise InvalidInputError("vectors have dimension >= 1")
+            require_type("vector coords", coords, tuple)
         for c in coords:
-            if c.field is not field:
+            if type(c) is not Scalar or c.field is not field:   # the fast test
+                require_type("vector coordinate", c, Scalar)
                 raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
@@ -84,21 +86,6 @@ class Vector(_Immutable):
         if not any(p.strip() for p in parts):
             raise ParseError(f"empty vector literal {quoted(text)}")
         return cls.make(field, parts)
-
-    @classmethod
-    def from_json(cls, obj) -> "Vector":
-        """Decode {"field": "padic:3", "coords": ["9", "1/3"]}."""
-        try:
-            field = FieldSpec.parse(obj["field"])
-            coords = obj["coords"]
-        except (KeyError, TypeError):
-            raise ParseError(f"bad vector object {quoted(obj)}") from None
-        if not isinstance(coords, (list, tuple)):
-            raise ParseError(f"vector coords must be a list, got {quoted(coords)}")
-        return cls.make(field, coords)
-
-    def to_json(self) -> dict:
-        return {"field": str(self.field), "coords": [str(c) for c in self.coords]}
 
     @property
     def dim(self) -> int:
@@ -245,10 +232,7 @@ def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
         raise InvalidInputError(f"cannot enumerate infinite space over {field}")
     if n < 1:
         raise InvalidInputError(f"dimension n must be at least 1, got {n}")
-    return [
-        Vector(field, tuple(Scalar(field, r) for r in coords))
-        for coords in itertools.product(range(field.prime), repeat=n)
-    ]
+    return [Vector(field, coords) for coords in itertools.product(field.elements(), repeat=n)]
 
 
 def check_norm_axioms(spec: NormSpec, field: FieldSpec, samples) -> AxiomReport:

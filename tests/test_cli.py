@@ -450,3 +450,42 @@ def test_long_probe_path_gets_a_short_parse_error(capsys):
     assert code == 1
     assert json.loads(out)["error"]["type"] == "parse"
     assert len(out.encode()) < 1024
+
+
+def test_trivially_valued_decompose_of_a_full_cap_of_probes_is_fast(capsys, tmp_path):
+    # 1024 probes, the most decompose takes; the fitted table used to check every
+    # pair of its entries, though injectivity alone decides it here
+    swap = {1: 2, 2: 1}
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"field": "trivial:q", "n": 1, "pairs": [
+        [[str(x)], [str(swap.get(x, x))]] for x in range(1024)]}))
+    t0 = time.perf_counter()
+    code, payload = run_json(capsys, "decompose", "--probes", str(probes))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    table = [[str(x), str(swap.get(x, x))] for x in range(1, 1024)] + [["0", "0"]]
+    assert payload == {"field": "trivial:q", "sigma": [0], "taus": [{"table": table}],
+                       "translation": ["0"]}
+    probes.write_text(json.dumps({"field": "trivial:q", "n": 1, "pairs": [
+        [[str(x)], [str(min(x, 1022))]] for x in range(1024)]}))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "decompose", "--probes", str(probes))
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert out == ('{"error":{"type":"decomposition-failure","message":"axis 0 data fits no '
+                   'scalar isometry: table not injective: 1022 and 1023 both map to 1022",'
+                   '"witness":{"point":"1","image":"1"}}}')
+
+
+@pytest.mark.parametrize("command, cap", [
+    ("segment", "DEFAULT_ENUM_CAP"),
+    ("minimize", "DEFAULT_ENUM_CAP"),
+    ("enumerate", "DEFAULT_SPACE_CAP"),
+    ("enumerate", "DEFAULT_ULTRAMETRIC_SPACE_CAP"),
+    ("check-betweenness", "DEFAULT_TRIPLE_CAP"),
+    ("check-axioms", "DEFAULT_ENUM_CAP"),
+])
+def test_cap_help_shows_the_constants_value(capsys, command, cap):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f" {getattr(ultranorm.errors, cap)}" in capsys.readouterr().out

@@ -71,7 +71,6 @@ CASES = {
     "scalar-iso-no-key": (ParseError, lambda: scalar_isometry_from_json(Q3, {"slope": 1})),
     "vector-empty": (InvalidInputError, lambda: Vector(Q3, ())),
     "vector-foreign-coord": (FieldMismatchError, lambda: Vector(Q3, (s(Q5, 1),))),
-    "vector-json-object": (ParseError, lambda: Vector.from_json(5)),
     "vector-scale-field": (FieldMismatchError, lambda: v(Q3, 1, 2).scale(s(Q5, 2))),
     "norm-kind": (InvalidInputError, lambda: NormSpec("taxi")),
     "norm-wsup-no-weights": (InvalidInputError, lambda: NormSpec("wsup")),
@@ -86,6 +85,24 @@ CASES = {
     "scalar-check-type": (TypeError, lambda: s(Q3, 1) + 1),
     "uniqueness-dim": (DimensionMismatchError,
                        lambda: uniqueness_check(v(Q3, 0, 0, 0), v(Q3, 1, 1, 1), 0, 0)),
+    # a value of the wrong class is refused at construction, not later as a bug
+    "table-int-values": (InvalidInputError, lambda: TableMap(((0, 1), (1, 0)))),
+    "table-later-int-value": (InvalidInputError,
+                              lambda: TableMap(((s(Q3, 0), s(Q3, 0)), (s(Q3, 1), 1)))),
+    "axial-str-tau": (InvalidInputError,
+                      lambda: AxialIsometry((0,), ("x",), Vector.zero(F2, 1))),
+    "axial-vector-tau": (InvalidInputError,
+                         lambda: AxialIsometry((0,), (v(F2, 0),), Vector.zero(F2, 1))),
+    "axial-scalar-translation": (InvalidInputError, lambda: AxialIsometry(
+        (0,), (AffineMap(F2.one, F2.zero),), F2.zero)),
+    "vector-int-coords": (InvalidInputError, lambda: Vector(Q3, (1, 2))),
+    "vector-vector-coord": (InvalidInputError, lambda: Vector(Q3, (Vector.zero(Q3, 1),))),
+    "probe-int-points": (InvalidInputError, lambda: ProbeMap((1,), (2,))),
+    "probe-isometry-points": (InvalidInputError, lambda: ProbeMap(
+        (AxialIsometry.identity(Q3, 1),), (AxialIsometry.identity(Q3, 1),))),
+    "probe-later-int-image": (InvalidInputError, lambda: ProbeMap((v(Q3, 0),), (0,))),
+    "affine-int-slope": (InvalidInputError, lambda: AffineMap(1, 0)),
+    "affine-int-offset": (InvalidInputError, lambda: AffineMap(Q3.one, 0)),
 }
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -286,7 +288,7 @@ def test_verify_detects_distance_violation():
 
 def test_verify_report_keeps_first_ten_and_counts_all():
     points = probe_grid(Q3, 2, 12)
-    pm = ProbeMap.from_callable(lambda x: Vector.zero(Q3, 2), points)  # all collide
+    pm = ProbeMap(tuple(points), (Vector.zero(Q3, 2),) * len(points))  # all collide
     report = verify_isometry(pm, ONE)
     assert report.pairs_checked == 66
     assert report.violation_count == 66 and report.collision_count == 66
@@ -687,3 +689,65 @@ def test_underdetermined_message_names_at_most_ten_missing_residues(q, message):
     with pytest.raises(UnderdeterminedError) as err:
         decompose(m)
     assert str(err.value) == message and err.value.axis == 0
+
+
+def test_tables_compare_as_maps_whatever_the_entry_order():
+    f3 = FieldSpec.gf(3)
+    iso = AxialIsometry((1, 0), (TableMap.from_residues(f3, [0, 2, 1]),
+                                 TableMap.from_residues(f3, [0, 1, 2])), _v(f3, "1,2"))
+    # the fitted tables list the probes' order, with (0, 0) last
+    d = decompose(ProbeMap.from_isometry(iso, enumerate_space(f3, 2), complete=True))
+    assert d.taus[0].entries != iso.taus[0].entries
+    assert d.to_json_dict() == iso.to_json_dict()
+    assert d == iso and hash(d) == hash(iso)
+    for table in (TableMap.from_residues(F5, [3, 0, 4, 1, 2]),
+                  TableMap.from_pairs(Q3, [(0, 1), (1, 2), (3, 4)])):
+        reversed_table = TableMap(table.entries[::-1])
+        assert reversed_table.entries != table.entries
+        assert reversed_table == table and hash(reversed_table) == hash(table)
+        assert str(reversed_table) != str(table)   # entries keep their given order
+    other_map = TableMap.from_residues(F5, [3, 0, 4, 2, 1])
+    assert TableMap.from_residues(F5, [3, 0, 4, 1, 2]) != other_map
+    # equal raw values over other fields are other maps
+    assert TableMap.from_pairs(Q3, [(1, 2)]) != TableMap.from_pairs(FieldSpec.trivial(), [(1, 2)])
+
+
+def test_finite_compose_and_inverse_of_mixed_taus_agree_pointwise():
+    # over gf:q a composition is a full table, in whichever entry order, and
+    # equals the residue-ordered table of its pointwise values
+    f3 = FieldSpec.gf(3)
+    points = enumerate_space(f3, 2)
+    table = AxialIsometry((1, 0), (TableMap.from_residues(f3, [2, 0, 1]),
+                                   AffineMap(f3.scalar(2), f3.one)), _v(f3, "1,0"))
+    affine = AxialIsometry((0, 1), (AffineMap(f3.scalar(2), f3.zero),
+                                    TableMap.from_residues(f3, [1, 0, 2])), _v(f3, "2,2"))
+    for f, g in itertools.product((table, affine, AxialIsometry.identity(f3, 2)), repeat=2):
+        h, f_inv = f.compose(g), f.inverse()
+        for x in points:
+            assert h.apply(x) == f.apply(g.apply(x))
+            assert f_inv.apply(f.apply(x)) == x == f.apply(f_inv.apply(x))
+        for j, tau in enumerate(h.taus):
+            if isinstance(tau, TableMap):
+                unit = [_v(f3, "1,0"), _v(f3, "0,1")][h.sigma[j]]
+                images = [h.apply(unit.scale(r)).coords[j] - h.translation.coords[j]
+                          for r in f3.elements()]
+                assert tau == TableMap.from_residues(f3, [b.value for b in images])
+
+
+def test_trivially_valued_tables_test_injectivity_in_one_pass():
+    # a late collision used to cost a pairwise loop over all q(q-1)/2 pairs
+    field = FieldSpec.gf(10007)
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInputError,
+                       match="^table not injective: 10005 and 10006 both map to 10005$"):
+        TableMap.from_residues(field, list(range(10006)) + [10005])
+    assert time.perf_counter() - t0 < 1
+    # the first colliding pair in pair order is 1 and 4, though 2 and 3 collide sooner
+    trivial = FieldSpec.trivial()
+    with pytest.raises(InvalidInputError,
+                       match="^table not injective: 1 and 4 both map to 5$"):
+        TableMap.from_pairs(trivial, [(0, 0), (1, 5), (2, 6), (3, 6), (4, 5), (5, 5)])
+    t0 = time.perf_counter()
+    pairs = [(a, a) for a in range(2000)]
+    assert TableMap.from_pairs(trivial, pairs).apply(trivial.scalar(1999)) == trivial.scalar(1999)
+    assert time.perf_counter() - t0 < 1

@@ -123,8 +123,8 @@ def test_floats_and_bools_are_parse_errors(field, value):
 @SETTINGS
 @given(field=FIELDS, coords=st.lists(INTS, min_size=1, max_size=4))
 def test_json_integer_and_string_coordinates_agree(field, coords):
-    as_ints = Vector.from_json({"field": str(field), "coords": coords})
-    as_strings = Vector.from_json({"field": str(field), "coords": [str(c) for c in coords]})
+    as_ints = Vector.make(field, coords)
+    as_strings = Vector.make(field, [str(c) for c in coords])
     assert as_ints == as_strings
 
 

@@ -150,16 +150,15 @@ def test_weighted_sup_escapes_value_group():
 
 def test_vector_parse_and_json_round_trip():
     v = Vector.parse(Q3, "9,1/3")
-    assert Vector.from_json(v.to_json()) == v
     assert v.dim == 2
     with pytest.raises(ParseError):
         Vector.parse(Q3, "9,,3")
     with pytest.raises(ParseError):
         Vector.parse(Q3, "")
-    assert Vector.from_json({"field": "padic:3", "coords": [9, "1/3"]}) == v
-    for coords in ("9", [0.5, 1], [True]):
+    assert Vector.make(Q3, [9, "1/3"]) == v
+    for coords in ([0.5, 1], [True]):
         with pytest.raises(ParseError):
-            Vector.from_json({"field": "padic:3", "coords": coords})
+            Vector.make(Q3, coords)
 
 
 def test_vector_arithmetic_and_mismatches():
@@ -284,3 +283,11 @@ def test_vectors_with_equal_raw_values_over_different_fields_differ(left, right)
     x, y = Vector.make(left, [1, 2]), Vector.make(right, [1, 2])
     assert x._raw_values() == y._raw_values()
     assert x != y and hash(x) != hash(y) and len({x, y}) == 2
+
+
+def test_enumerate_space_shares_the_fields_element_scalars():
+    pts = enumerate_space(F3, 2)
+    elements = {c.value: c for c in pts[-1].coords + pts[-2].coords + pts[-3].coords}
+    assert sorted(elements) == [0, 1, 2]
+    for p in pts:
+        assert all(c is elements[c.value] for c in p.coords)
