@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InvalidInputError, ParseError, quoted
+from .errors import FieldMismatchError, InvalidInputError, ParseError, quoted, require_type
 
 # Norm/valuation values: exact nonnegative rationals, closed under + and max.
 Magnitude = Fraction
@@ -86,10 +86,10 @@ class FieldSpec(_Immutable):
 
     ``prime`` is p for the p-adic rationals, q for F_q, and None for the
     trivially-valued rationals.  Immutable and interned: two specs of one
-    field are the same object.
+    field are the same object, so F_q's element tuple is built once.
     """
 
-    __slots__ = ("kind", "prime")
+    __slots__ = ("kind", "prime", "_elements")
 
     def __new__(cls, kind: str, prime: int | None = None) -> "FieldSpec":
         if kind not in _KINDS:
@@ -176,11 +176,15 @@ class FieldSpec(_Immutable):
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    def elements(self):
-        """All field elements, finite fields only."""
+    def elements(self) -> tuple["Scalar", ...]:
+        """All field elements in residue order, finite fields only; kept."""
         if self.kind != GF:
             raise InvalidInputError(f"{self} is infinite")
-        return [Scalar(self, r) for r in range(self.prime)]
+        try:
+            return self._elements
+        except AttributeError:
+            object.__setattr__(self, "_elements", tuple(map(self.scalar, range(self.prime))))
+            return self._elements
 
 
 class Scalar(_Immutable):
@@ -197,10 +201,14 @@ class Scalar(_Immutable):
 
     def __init__(self, field: FieldSpec, value):
         kind = type(value)
+        try:
+            gf = field.kind == GF
+        except AttributeError:   # the field is not a FieldSpec
+            require_type("scalar field", field, FieldSpec)
         if kind is int:
-            value = value % field.prime if field.kind == GF else Fraction(value)
+            value = value % field.prime if gf else Fraction(value)
         elif kind is Fraction:
-            if field.kind == GF:
+            if gf:
                 if value.denominator != 1:
                     raise ParseError(f"non-integer value {value} in {field}")
                 value = value.numerator % field.prime

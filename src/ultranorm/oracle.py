@@ -3,8 +3,10 @@
 Everything here works by exhaustion: distance-preserving bijections of
 F_q^n are found by a depth-first search that keeps, for each point and each
 distance, the bitset of points at that distance, and intersects them as
-points are placed; betweenness is checked over all q**(3n) triples, and the
-found isometry sets are checked for group closure.  Structural facts (the
+points are placed; betweenness is checked over all q**(3n) triples, the
+metric side read off one coded table of the (q**n)**2 exact distances and
+the coordinate side by `coordinate_between` per triple; and the found
+isometry sets are checked for group closure.  Structural facts (the
 taxicab isometry group is S_n permuting coordinates, a bijection of F_q per
 coordinate, and a translation, giving n! * (q!)**n maps) are verified
 against these enumerations, never assumed by them.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .betweenness import coordinate_between, is_metrically_between
+from .betweenness import coordinate_between
 from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
                      WITNESS_LIMIT, EnumerationTooLargeError)
 from .fields import FieldSpec
@@ -78,6 +80,13 @@ class EnumerationResult:
         }
 
 
+def _coded(dist) -> tuple[list[list[int]], dict]:
+    """A distance table with each distinct value coded as a small int, in
+    order of first appearance, and the codes by value (in code order)."""
+    codes: dict = {}
+    return [[codes.setdefault(d, len(codes)) for d in row] for row in dist], codes
+
+
 def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     """Depth-first search over image assignments in point order, on bitsets.
 
@@ -90,8 +99,7 @@ def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     candidate a pair-by-pair check would have tried.  The search keeps its
     own stack, so its depth is not bounded by Python's recursion limit.
     """
-    codes: dict = {}
-    code = [[codes.setdefault(d, len(codes)) for d in row] for row in dist]
+    code, codes = _coded(dist)
     ball = [[0] * len(codes) for _ in dist]
     for c, row in enumerate(code):
         for p, k in enumerate(row):
@@ -187,19 +195,26 @@ class BetweennessReport:
 
 def exhaustive_betweenness_check(q: int, n: int,
                                  cap: int | None = None) -> BetweennessReport:
-    """Run both betweenness predicates over every (x, z, y) in F_q^n.
+    """Check metric against coordinate betweenness on every (x, z, y) in F_q^n.
 
     The exhaustive run is itself the ground truth: the report counts
-    disagreements (expected 0) over all q**(3n) triples.
+    disagreements (expected 0) over all q**(3n) triples, in x, z, y order.
+    The metric side, d(x, y) = d(x, z) + d(z, y), is read off one coded
+    table of the (q**n)**2 one-norm distances: plus[a][b] is the code of
+    value a + value b, or -1 when that sum is no distance.  The coordinate
+    side is a `coordinate_between` call per triple.
     """
     EnumerationTooLargeError.check(q, 3 * n, DEFAULT_TRIPLE_CAP if cap is None else cap,
                                    f"triples of F_{q}^{n}")
-    points = enumerate_space(FieldSpec.gf(q), n)
+    points, one = enumerate_space(FieldSpec.gf(q), n), NormSpec.one()
+    code, codes = _coded([[distance(x, y, one) for y in points] for x in points])
+    plus = [[codes.get(a + b, -1) for b in codes] for a in codes]
     report = BetweennessReport(q=q, n=n)
-    for x in points:
-        for z in points:
-            for y in points:
-                metric = is_metrically_between(x, z, y)
+    for x, cx in zip(points, code):
+        for z, cz, cxz in zip(points, code, cx):
+            sums = plus[cxz]
+            for y, cxy, czy in zip(points, cx, cz):
+                metric = cxy == sums[czy]
                 coord = coordinate_between(x, z, y)
                 if metric != coord:
                     report.mismatches += 1

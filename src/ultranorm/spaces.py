@@ -46,6 +46,7 @@ class Vector(_Immutable):
             require_type("vector coords", coords, tuple)
         for c in coords:
             if type(c) is not Scalar or c.field is not field:   # the fast test
+                require_type("vector field", field, FieldSpec)
                 require_type("vector coordinate", c, Scalar)
                 raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
         object.__setattr__(self, "field", field)
@@ -92,7 +93,8 @@ class Vector(_Immutable):
         return len(self.coords)
 
     def _check(self, other: "Vector") -> None:
-        if other.field is not self.field:
+        if type(other) is not Vector or other.field is not self.field:   # the fast test
+            require_type("vector operand", other, Vector)
             raise FieldMismatchError(f"mixing {self.field} with {other.field}")
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")

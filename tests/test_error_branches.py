@@ -24,13 +24,16 @@ from ultranorm import (
     Scalar,
     TableMap,
     Vector,
+    distance,
     scalar_isometry_from_json,
+    segment,
     uniqueness_check,
 )
 
 Q3 = FieldSpec.parse("padic:3")
 Q5 = FieldSpec.parse("padic:5")
 F2 = FieldSpec.parse("gf:2")
+F3 = FieldSpec.parse("gf:3")
 
 
 def v(field, *coords):
@@ -103,6 +106,12 @@ CASES = {
     "probe-later-int-image": (InvalidInputError, lambda: ProbeMap((v(Q3, 0),), (0,))),
     "affine-int-slope": (InvalidInputError, lambda: AffineMap(1, 0)),
     "affine-int-offset": (InvalidInputError, lambda: AffineMap(Q3.one, 0)),
+    # a field or operand of the wrong class is refused, not an AttributeError
+    "scalar-str-field": (InvalidInputError, lambda: Scalar("gf:3", 1)),
+    "vector-str-field": (InvalidInputError, lambda: Vector("gf:3", (F3.one,))),
+    "segment-int-endpoint": (InvalidInputError, lambda: segment(v(F3, 1, 2), 3)),
+    "distance-int-operand": (InvalidInputError,
+                             lambda: distance(v(F3, 1, 2), 3, NormSpec.one())),
 }
 
 

@@ -147,6 +147,15 @@ def test_gf_elements():
     assert [s.value for s in F5.elements()] == [0, 1, 2, 3, 4]
 
 
+def test_gf_elements_are_built_once_per_field():
+    assert F5.elements() is F5.elements() is FieldSpec.parse("gf:5").elements()
+    assert type(F5.elements()) is tuple
+    assert [s.value for s in FieldSpec.gf(7).elements()] == list(range(7))
+    # the cache is private: repr and pickling still read kind and prime only
+    assert repr(F5) == "FieldSpec(kind='gf', prime=5)"
+    assert F5.__reduce__() == (FieldSpec, ("gf", 5))
+
+
 def test_multiplicativity_exact():
     rng = random.Random(7)
     for field in (Q3, Q5, F5, TQ):

@@ -26,6 +26,8 @@ from ultranorm import (
     exhaustive_betweenness_check,
     group_closure_check,
 )
+import ultranorm.betweenness
+import ultranorm.oracle
 from ultranorm.oracle import EnumerationResult, _search
 
 from naive import (gf_one_dist, gf_space, gf_sup_dist, is_axial, isometries_by_filter,
@@ -194,6 +196,49 @@ def test_betweenness_triple_cap():
     with pytest.raises(EnumerationTooLargeError) as err:
         exhaustive_betweenness_check(5, 3, cap=10**5)
     assert err.value.size == 125**3
+
+
+@pytest.mark.parametrize("q, n, expected", [(2, 2, 8), (3, 2, 72), (2, 3, 96)])
+def test_betweenness_mismatches_are_counted_and_witnessed_in_triple_order(
+        monkeypatch, q, n, expected):
+    # Under the sup distance a coordinate mixture need not be metrically
+    # between, so the check must report mismatches: the same count and the
+    # same first ten (x, z, y) witnesses as a literal loop over naive pieces.
+    sup = gf_sup_dist(q)
+
+    def sup_distance(x, y, spec):
+        return sup(tuple(c.value for c in x.coords), tuple(c.value for c in y.coords))
+
+    monkeypatch.setattr(ultranorm.oracle, "distance", sup_distance)
+    monkeypatch.setattr(ultranorm.betweenness, "distance", sup_distance)
+    mismatches, witnesses = 0, []
+    for x, z, y in itertools.product(gf_space(q, n), repeat=3):
+        metric = sup(x, y) == sup(x, z) + sup(z, y)
+        coordinate = all(c in (a, b) for a, c, b in zip(x, z, y))
+        if metric != coordinate:
+            mismatches += 1
+            if len(witnesses) < 10:
+                witnesses.append({"x": ",".join(map(str, x)), "z": ",".join(map(str, z)),
+                                  "y": ",".join(map(str, y)), "metric": metric,
+                                  "coordinate": coordinate})
+    assert mismatches == expected
+    assert exhaustive_betweenness_check(q, n).to_json_dict() == {
+        "q": q, "n": n, "triples": q ** (3 * n), "mismatches": expected, "ok": False,
+        "witnesses": witnesses}
+
+
+def test_betweenness_computes_each_distance_once(monkeypatch):
+    calls = []
+    real = ultranorm.oracle.distance
+
+    def counted(x, y, spec):
+        calls.append((x, y))
+        return real(x, y, spec)
+
+    monkeypatch.setattr(ultranorm.oracle, "distance", counted)
+    report = exhaustive_betweenness_check(3, 2)
+    assert report.triples == 729 and report.mismatches == 0
+    assert len(calls) == 81 == len(set(calls))   # (q^n)^2: every ordered pair once
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
