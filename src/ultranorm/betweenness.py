@@ -13,6 +13,8 @@ trivially and are reported as between; callers need no case analysis.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError)
 from .fields import Magnitude, _Immutable
@@ -28,22 +30,22 @@ def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:
     """True iff every coordinate of z equals the matching one of x or of y."""
-    x._check(z)
+    Vector._check(x, z)
     x._check(y)
     return all(zc == xc or zc == yc for xc, zc, yc in zip(x.coords, z.coords, y.coords))
 
 
 def differing_positions(x: Vector, y: Vector) -> list[int]:
-    x._check(y)
+    Vector._check(x, y)
     return [i for i, (a, b) in enumerate(zip(x.coords, y.coords)) if a != b]
 
 
 class SegmentEnumeration(_Immutable):
     """The full metric segment between two endpoints.
 
-    `k` counts the coordinates where the endpoints differ; `points` holds all
-    2**k coordinate mixtures in binary-counter order (bit j of the counter
-    set means: take y's value at the j-th differing position).
+    `k` counts the coordinates where the endpoints differ; `points` is the
+    product of the choices {x_i, y_i}, all 2**k points, with the first
+    coordinate varying fastest (x's value before y's).
     """
 
     __slots__ = ("x", "y", "k", "points")
@@ -67,17 +69,12 @@ def segment(x: Vector, y: Vector, cap: int | None = None) -> SegmentEnumeration:
     Raises EnumerationTooLargeError when 2**k would exceed the cap (default
     DEFAULT_ENUM_CAP).
     """
-    positions = differing_positions(x, y)
-    k = len(positions)
+    Vector._check(x, y)
+    choices = [(a,) if a == b else (a, b) for a, b in zip(x.coords, y.coords)]
+    k = sum(len(c) - 1 for c in choices)
     EnumerationTooLargeError.check(2, k, DEFAULT_ENUM_CAP if cap is None else cap,
                                    f"k={k} differing coordinates")
-    points = []
-    for counter in range(2 ** k):
-        coords = list(x.coords)
-        for j, pos in enumerate(positions):
-            if counter >> j & 1:
-                coords[pos] = y.coords[pos]
-        points.append(Vector(x.field, tuple(coords)))
+    points = (Vector(x.field, p[::-1]) for p in itertools.product(*choices[::-1]))
     return SegmentEnumeration(x=x, y=y, k=k, points=tuple(points))
 
 

@@ -57,8 +57,6 @@ def _render_text(obj, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{obj}")
     return lines
 
 
@@ -134,11 +132,7 @@ def _cmd_segment(args) -> dict:
 def _cmd_minimize(args) -> dict:
     minimum, seg = betweenness.minimize_two_point(
         _vec(args, "a"), _vec(args, "c"), args.cap)
-    return {
-        "minimum": str(minimum),
-        "witnesses": [[str(c) for c in p.coords] for p in seg.points],
-        "k": seg.k,
-    }
+    return {"minimum": str(minimum), "witnesses": seg.to_json_dict()["segment"], "k": seg.k}
 
 
 def _read_pairwise_probes(source: str) -> ProbeMap:

@@ -89,7 +89,7 @@ class FieldSpec(_Immutable):
     field are the same object, so F_q's element tuple is built once.
     """
 
-    __slots__ = ("kind", "prime", "_elements")
+    __slots__ = ("kind", "prime", "_q", "_elements")
 
     def __new__(cls, kind: str, prime: int | None = None) -> "FieldSpec":
         if kind not in _KINDS:
@@ -109,6 +109,7 @@ class FieldSpec(_Immutable):
             spec = object.__new__(cls)
             object.__setattr__(spec, "kind", kind)
             object.__setattr__(spec, "prime", prime)
+            object.__setattr__(spec, "_q", prime if kind == GF else 0)   # the modulus Scalar reads
             spec = _INTERNED.setdefault((kind, prime), spec)   # one winner if threads race
         return spec
 
@@ -202,16 +203,16 @@ class Scalar(_Immutable):
     def __init__(self, field: FieldSpec, value):
         kind = type(value)
         try:
-            gf = field.kind == GF
-        except AttributeError:   # the field is not a FieldSpec
+            q = field._q   # F_q's modulus, 0 over the rationals; only a FieldSpec has it
+        except AttributeError:
             require_type("scalar field", field, FieldSpec)
         if kind is int:
-            value = value % field.prime if gf else Fraction(value)
+            value = value % q if q else Fraction(value)
         elif kind is Fraction:
-            if gf:
+            if q:
                 if value.denominator != 1:
                     raise ParseError(f"non-integer value {value} in {field}")
-                value = value.numerator % field.prime
+                value = value.numerator % q
         else:
             raise ParseError(f"{kind.__name__} {quoted(value)} is not an exact scalar of {field}")
         object.__setattr__(self, "field", field)

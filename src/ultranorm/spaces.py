@@ -93,10 +93,13 @@ class Vector(_Immutable):
         return len(self.coords)
 
     def _check(self, other: "Vector") -> None:
-        if type(other) is not Vector or other.field is not self.field:   # the fast test
+        """Refuse operands that are not Vectors of one field and dimension;
+        `Vector._check(x, y)` tests an x from outside as well."""
+        if type(self) is not Vector or type(other) is not Vector or other.field is not self.field:
+            require_type("vector operand", self, Vector)
             require_type("vector operand", other, Vector)
             raise FieldMismatchError(f"mixing {self.field} with {other.field}")
-        if other.dim != self.dim:
+        if len(other.coords) != len(self.coords):
             raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -182,12 +185,13 @@ class NormSpec(_Immutable):
 
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
     """Exact norm value of v under spec: its distance from the origin."""
+    Vector._check(v, v)   # refuses a v that is not a Vector
     return _difference_norm(v, itertools.repeat(v.field.zero), spec)
 
 
 def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     """d(x, y) = ||x - y||; exact, symmetric, zero iff x = y."""
-    x._check(y)
+    Vector._check(x, y)
     return _difference_norm(x, y.coords, spec)
 
 

@@ -27,6 +27,8 @@ from naive import gf_one_dist, gf_space, gf_sup_dist, metric_between, segment_by
 Q3 = FieldSpec.parse("padic:3")
 F2 = FieldSpec.parse("gf:2")
 F3 = FieldSpec.parse("gf:3")
+F5 = FieldSpec.parse("gf:5")
+TQ = FieldSpec.parse("trivial:q")
 
 ONE = NormSpec.one()
 SUP = NormSpec.sup()
@@ -135,6 +137,42 @@ def test_segment_cap():
         segment(x, y, cap=2**10)
     assert err.value.size == 2**20 and err.value.cap == 2**10
     assert "k=20" in str(err.value)
+
+
+def _counter_segment(x, y):
+    """The segment as a binary counter: bit j takes y's value at the j-th differing position."""
+    positions = [i for i in range(x.dim) if x.coords[i] != y.coords[i]]
+    points = []
+    for counter in range(2 ** len(positions)):
+        coords = list(x.coords)
+        for j, pos in enumerate(positions):
+            if counter >> j & 1:
+                coords[pos] = y.coords[pos]
+        points.append(coords)
+    return points
+
+
+@pytest.mark.parametrize("field", [Q3, F5, TQ], ids=str)
+def test_segment_order_and_scalars_are_the_binary_counters(field):
+    rng = random.Random(16)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            x = random_vector(field, n, rng)
+            moved = rng.sample(range(n), k)
+            # y gets fresh but equal scalars where it agrees with x
+            y = Vector(field, tuple(field.scalar(c.value + (i in moved)) for i, c in
+                                    enumerate(x.coords)))
+            seg = segment(x, y)
+            assert seg.k == k
+            expected = _counter_segment(x, y)
+            assert len(seg.points) == len(expected) == 2 ** k
+            for point, coords in zip(seg.points, expected):
+                assert all(a is b for a, b in zip(point.coords, coords))
+            if k:
+                with pytest.raises(EnumerationTooLargeError) as err:
+                    segment(x, y, cap=2 ** (k - 1))
+                assert str(err.value) == (f"enumeration of {2 ** k} elements exceeds cap "
+                                          f"{2 ** (k - 1)} (k={k} differing coordinates)")
 
 
 def test_minimize_spec_examples():

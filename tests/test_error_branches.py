@@ -2,7 +2,8 @@
 
 One case per guard, mostly guards no other test reaches.  Only the
 exception class is checked, so a guard may reword its message but never
-change its kind.
+change its kind; the cases in NAMED, which name a value of the wrong
+class, pin their message as well.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from ultranorm import (
     Scalar,
     TableMap,
     Vector,
+    coordinate_between,
+    differing_positions,
     distance,
+    is_metrically_between,
+    norm,
     scalar_isometry_from_json,
     segment,
     uniqueness_check,
@@ -112,6 +117,17 @@ CASES = {
     "segment-int-endpoint": (InvalidInputError, lambda: segment(v(F3, 1, 2), 3)),
     "distance-int-operand": (InvalidInputError,
                              lambda: distance(v(F3, 1, 2), 3, NormSpec.one())),
+    "scalar-norm-field": (InvalidInputError, lambda: Scalar(NormSpec.one(), 1)),
+    # the first operand is checked as well as the second
+    "distance-int-first": (InvalidInputError, lambda: distance(3, v(F3, 1), NormSpec.one())),
+    "segment-int-first": (InvalidInputError, lambda: segment(3, v(F3, 1))),
+    "coordinate-between-int-first": (InvalidInputError,
+                                     lambda: coordinate_between(3, v(F3, 1), v(F3, 1))),
+    "between-int-first": (InvalidInputError,
+                          lambda: is_metrically_between(3, v(F3, 1), v(F3, 1))),
+    "differing-positions-int-first": (InvalidInputError,
+                                      lambda: differing_positions(3, v(F3, 1))),
+    "norm-int-vector": (InvalidInputError, lambda: norm(3, NormSpec.one())),
 }
 
 
@@ -120,3 +136,15 @@ def test_guard_raises_its_error_class(expected, build):
     with pytest.raises(expected) as info:
         build()
     assert type(info.value) is expected
+
+
+NAMED = {key: "vector operand must be a Vector, got int"
+         for key in CASES if key.endswith("-int-first") or key == "norm-int-vector"}
+NAMED["scalar-norm-field"] = "scalar field must be a FieldSpec, got NormSpec"
+
+
+@pytest.mark.parametrize("key", NAMED)
+def test_a_value_of_the_wrong_class_is_named(key):
+    with pytest.raises(InvalidInputError) as info:
+        CASES[key][1]()
+    assert str(info.value) == NAMED[key]

@@ -66,6 +66,11 @@ def test_affine_map_apply_and_inverse():
     assert AffineMap(Q3.scalar(-1), Q3.scalar(0)).is_centred
 
 
+def test_affine_map_str():
+    assert str(AffineMap(Q3.scalar(2), Q3.scalar(Fraction(1, 3)))) == "a -> 2*a + 1/3"
+    assert str(AffineMap(Q3.scalar(-1), Q3.scalar(0))) == "a -> -1*a + 0"
+
+
 def test_table_map_must_be_metric_preserving():
     # 5 -> {0,1,2,3,4} residue permutations are exactly the gf isometries
     tau = TableMap.from_residues(F5, [1, 2, 3, 4, 0])

@@ -283,17 +283,36 @@ def test_group_closure_detects_missing_elements():
     assert not report.has_identity
 
 
-def test_group_closure_keeps_first_ten_missing():
+def _no_inverses_result() -> EnumerationResult:
     points = tuple(enumerate_space(FieldSpec.gf(5), 1))
     # one of each pair of mutually inverse non-involutions: no inverse is present
     perms = [p for p in itertools.permutations(range(5))
              if p < tuple(sorted(range(5), key=p.__getitem__))]
-    result = EnumerationResult(
+    return EnumerationResult(
         q=5, n=1, norm=ONE, centred=False, points=points,
         isometries=tuple(perms), attempts=1, axial=1)
-    report = group_closure_check(result)
+
+
+def test_group_closure_keeps_first_ten_missing():
+    report = group_closure_check(_no_inverses_result())
     assert not report.inverses_ok
     assert len(report.missing) == 10
+
+
+def test_closure_report_json_keys_and_values():
+    keys = ["size", "has_identity", "closed", "inverses_ok", "compositions_checked", "ok",
+            "missing"]
+    group = group_closure_check(enumerate_isometries(2, 2)).to_json_dict()
+    assert list(group) == keys
+    assert list(group.values()) == [8, True, True, True, 64, True, []]
+    broken = group_closure_check(_no_inverses_result()).to_json_dict()
+    assert list(broken) == keys
+    assert [broken[key] for key in keys[:-1]] == [47, False, False, False, 47 ** 2, False]
+    f = [0, 1, 3, 4, 2]
+    # the first map's missing inverse, then its first nine compositions outside the set
+    assert broken["missing"] == [{"inverse_of": f}] + [{"compose": [f, g]} for g in (
+        [0, 1, 3, 4, 2], [0, 2, 3, 1, 4], [0, 2, 4, 1, 3], [0, 3, 2, 4, 1], [0, 3, 4, 2, 1],
+        [1, 0, 3, 4, 2], [2, 1, 3, 0, 4], [2, 1, 4, 0, 3], [2, 3, 0, 4, 1])]
 
 
 def test_result_json_shape():

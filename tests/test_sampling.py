@@ -56,6 +56,13 @@ def test_probe_grid_shape():
     assert probe_grid(Q3, 2, 48) == grid  # deterministic
 
 
+def test_probe_grid_over_trivial_rationals():
+    # the ladder is 1..13 off the p-adic fields: origin, axis points, then the first shell
+    grid = [str(p) for p in probe_grid(FieldSpec.trivial(), 2, 30)]
+    axes = [f"{k},0" if i == 0 else f"0,{k}" for k in range(1, 14) for i in range(2)]
+    assert grid == ["0,0", *axes, "1,1", "1,2", "2,1"]
+
+
 def test_probe_grid_limits():
     with pytest.raises(ValueError):
         probe_grid(F5, 2, 10)  # finite fields enumerate exactly instead
