@@ -18,14 +18,19 @@ import itertools
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError)
 from .fields import Magnitude, _Immutable
-from .spaces import NormSpec, Vector, distance
+from .spaces import NormSpec, Vector, _exponents, _one_key, distance
 
 _ONE = NormSpec.one()
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
-    """Exact test of ||x - y||_1 = ||x - z||_1 + ||y - z||_1."""
-    return distance(x, y, _ONE) == distance(x, z, _ONE) + distance(y, z, _ONE)
+    """Exact test of ||x - y||_1 = ||x - z||_1 + ||z - y||_1, on the integer
+    keys of the exponents of x - y and of x - z and z - y together."""
+    Vector._check(x, y)
+    Vector._check(x, z)
+    p = x.field._p
+    xy, xz, zy = (_exponents(a.coords, b.coords, p).values() for a, b in ((x, y), (x, z), (z, y)))
+    return _one_key(xy, p) == _one_key([*xz, *zy], p)
 
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:
@@ -96,6 +101,8 @@ def uniqueness_check(a: Vector, c: Vector, d1: Magnitude, d2: Magnitude) -> list
     point whenever |a1 - c1| != |a2 - c2|; equal coordinate valuations can
     admit two witnesses.
     """
+    Vector._check(a, a)   # refuses an a or c that is not a Vector
+    Vector._check(c, c)
     if a.dim != 2 or c.dim != 2:
         raise DimensionMismatchError("uniqueness check is for dimension 2")
     total = distance(c, a, _ONE)

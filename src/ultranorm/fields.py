@@ -89,7 +89,7 @@ class FieldSpec(_Immutable):
     field are the same object, so F_q's element tuple is built once.
     """
 
-    __slots__ = ("kind", "prime", "_q", "_elements")
+    __slots__ = ("kind", "prime", "_q", "_p", "_elements")
 
     def __new__(cls, kind: str, prime: int | None = None) -> "FieldSpec":
         if kind not in _KINDS:
@@ -110,6 +110,7 @@ class FieldSpec(_Immutable):
             object.__setattr__(spec, "kind", kind)
             object.__setattr__(spec, "prime", prime)
             object.__setattr__(spec, "_q", prime if kind == GF else 0)   # the modulus Scalar reads
+            object.__setattr__(spec, "_p", prime if kind == PADIC else 1)   # |a| = p**e for a != 0
             spec = _INTERNED.setdefault((kind, prime), spec)   # one winner if threads race
         return spec
 
@@ -282,6 +283,8 @@ def valuation(a: Scalar) -> Magnitude:
     the multiplicity in the denominator.  Trivial and finite-field cases: 1
     for nonzero, 0 for zero.
     """
+    if type(a) is not Scalar:   # the fast test
+        require_type("valuation operand", a, Scalar)
     if a.is_zero:
         return Fraction(0)
     if a.field.kind != PADIC:

@@ -6,9 +6,11 @@ max_i w_i |x_i| with strictly positive rational weights.  The sup variants
 are ultrametric (strong triangle inequality); the taxicab norm is not once
 the dimension exceeds 1, which is the whole point of this package.
 
-`norm` and `distance` share one kernel: each coordinate's valuation comes
-from the integer numerators and denominators, and one Fraction is built
-per result.
+Every norm is read off the exponents e_i, where |x_i - y_i| = p**e_i,
+which come from the coordinates' integer numerators and denominators.
+`distance` and `norm` build one Fraction per result from them.  Callers
+that only compare norms reduce them to exact integer keys instead
+(`_norm_key`), and build no Fraction.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import (GF, PADIC, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable,
-                     _multiplicity, valuation)
+from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable, _multiplicity,
+                     valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -186,39 +188,19 @@ class NormSpec(_Immutable):
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
     """Exact norm value of v under spec: its distance from the origin."""
     Vector._check(v, v)   # refuses a v that is not a Vector
-    return _difference_norm(v, itertools.repeat(v.field.zero), spec)
+    return distance(v, Vector(v.field, (v.field.zero,) * len(v.coords)), spec)
 
 
 def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     """d(x, y) = ||x - y||; exact, symmetric, zero iff x = y."""
     Vector._check(x, y)
-    return _difference_norm(x, y.coords, spec)
-
-
-def _difference_norm(x: Vector, ys, spec: NormSpec) -> Magnitude:
-    """||x - y|| from x and y's coordinates, without building x - y.
-
-    Each |a - b| with a != b is p**e.  Over padic:p, with a = an/ad and
-    b = bn/bd in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad)
-    comes from integers alone; over gf:q and trivial:q, e = 0.  Only the
-    result is a Fraction: the one-norm's sum is taken over the common
-    denominator.
-    """
-    if spec.kind == WSUP and len(spec.weights) != x.dim:
-        raise DimensionMismatchError(
-            f"{len(spec.weights)} weights for dimension {x.dim}")
-    p = x.field.prime if x.field.kind == PADIC else 1
-    exps = {}   # coordinate index -> e, where a != b
-    for i, (a, b) in enumerate(zip(x.coords, ys)):
-        if a is b:   # segment points share their endpoints' scalars
-            continue
-        (an, ad), (bn, bd) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
-        if an != bn or ad != bd:
-            exps[i] = 0 if p == 1 else (_multiplicity(ad * bd, p)
-                                        - _multiplicity(an * bd - bn * ad, p))
+    if spec.kind == WSUP:
+        _check_weights(spec, len(x.coords))
+    p = x.field._p
+    exps = _exponents(x.coords, y.coords, p)
     if not exps:
         return Fraction(0)
-    if spec.kind == ONE:
+    if spec.kind == ONE:   # the sum over the common denominator
         lo = min(exps.values())
         total = sum(p ** (e - lo) for e in exps.values())
         return Fraction(total, p ** -lo) if lo < 0 else Fraction(total * p ** lo)
@@ -227,8 +209,71 @@ def _difference_norm(x: Vector, ys, spec: NormSpec) -> Magnitude:
     return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
 
 
+def _check_weights(spec: NormSpec, n: int) -> None:
+    if spec.kind == WSUP and len(spec.weights) != n:
+        raise DimensionMismatchError(f"{len(spec.weights)} weights for dimension {n}")
+
+
+def _exponents(xs, ys, p: int) -> dict[int, int]:
+    """Coordinate index -> e, where |x_i - y_i| = p**e, for each x_i != y_i.
+
+    Over padic:p, with x_i = an/ad and y_i = bn/bd in lowest terms,
+    e = ord_p(ad*bd) - ord_p(an*bd - bn*ad) comes from integers alone; over
+    gf:q and trivial:q (p = 1), e = 0.
+    """
+    exps = {}
+    for i, (a, b) in enumerate(zip(xs, ys)):
+        if a is b:   # segment points share their endpoints' scalars
+            continue
+        (an, ad), (bn, bd) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
+        if an != bn or ad != bd:
+            exps[i] = 0 if p == 1 else (_multiplicity(ad * bd, p)
+                                        - _multiplicity(an * bd - bn * ad, p))
+    return exps
+
+
+def _integers(v: Vector) -> list[tuple[int, int, int]]:
+    """Each coordinate of v as (num, den, ord_p(den)) in lowest terms, for
+    callers that read a point's integers once and compare many pairs."""
+    p = v.field._p
+    return [(n, d, 0 if d == 1 or p == 1 else _multiplicity(d, p))
+            for n, d in (c.value.as_integer_ratio() for c in v.coords)]
+
+
+def _integer_exponents(xs, ys, p: int) -> dict[int, int]:
+    """`_exponents` from two `_integers` lists: ord_p(ad*bd) is av + bv."""
+    exps = {}
+    for i, ((an, ad, av), (bn, bd, bv)) in enumerate(zip(xs, ys)):
+        if an != bn or ad != bd:
+            exps[i] = 0 if p == 1 else av + bv - _multiplicity(an * bd - bn * ad, p)
+    return exps
+
+
+def _norm_key(exps: dict[int, int], p: int, spec: NormSpec):
+    """A key of the norm whose exponents are `exps`, equal exactly when the
+    norms are: `_one_key` for the one-norm; for sup the largest exponent and
+    for wsup, whose weights are rationals, the norm itself (exps nonempty)."""
+    if spec.kind == ONE:
+        return _one_key(exps.values(), p)
+    if spec.kind == SUP:
+        return max(exps.values())
+    return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
+
+
+def _one_key(exps, p: int) -> tuple[int, int]:
+    """(total, lo) with sum(p**e) = total * p**lo and, when p > 1, p not
+    dividing total; (0, 0) for no exponents."""
+    lo = min(exps, default=0)
+    total = sum(p ** (e - lo) for e in exps)
+    while p > 1 and total and total % p == 0:
+        total //= p
+        lo += 1
+    return total, lo
+
+
 def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:
     """The tuple of coordinate valuations (what absolute norms depend on)."""
+    Vector._check(v, v)   # refuses a v that is not a Vector
     return tuple(valuation(c) for c in v.coords)
 
 

@@ -44,6 +44,10 @@ def sup_norm(coords, absval) -> Fraction:
     return max(absval(c) for c in coords)
 
 
+def weighted_sup_norm(coords, absval, weights) -> Fraction:
+    return max(Fraction(w) * absval(c) for w, c in zip(weights, coords))
+
+
 def hamming(xs, ys) -> int:
     return sum(1 for a, b in zip(xs, ys) if a != b)
 

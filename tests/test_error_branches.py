@@ -33,6 +33,8 @@ from ultranorm import (
     scalar_isometry_from_json,
     segment,
     uniqueness_check,
+    valuation,
+    valuation_profile,
 )
 
 Q3 = FieldSpec.parse("padic:3")
@@ -128,6 +130,13 @@ CASES = {
     "differing-positions-int-first": (InvalidInputError,
                                       lambda: differing_positions(3, v(F3, 1))),
     "norm-int-vector": (InvalidInputError, lambda: norm(3, NormSpec.one())),
+    "uniqueness-int-first": (InvalidInputError, lambda: uniqueness_check(3, v(Q3, 0, 0), 0, 0)),
+    "uniqueness-int-second": (InvalidInputError,
+                              lambda: uniqueness_check(v(Q3, 0, 0), 3, 0, 0)),
+    "uniqueness-dim-2-vs-3": (DimensionMismatchError,
+                              lambda: uniqueness_check(v(Q3, 0, 0), v(Q3, 1, 1, 1), 0, 0)),
+    "valuation-int": (InvalidInputError, lambda: valuation(3)),
+    "valuation-profile-int": (InvalidInputError, lambda: valuation_profile(3)),
 }
 
 
@@ -141,6 +150,8 @@ def test_guard_raises_its_error_class(expected, build):
 NAMED = {key: "vector operand must be a Vector, got int"
          for key in CASES if key.endswith("-int-first") or key == "norm-int-vector"}
 NAMED["scalar-norm-field"] = "scalar field must be a FieldSpec, got NormSpec"
+NAMED["uniqueness-int-second"] = NAMED["valuation-profile-int"] = NAMED["uniqueness-int-first"]
+NAMED["valuation-int"] = "valuation operand must be a Scalar, got int"
 
 
 @pytest.mark.parametrize("key", NAMED)
@@ -148,3 +159,9 @@ def test_a_value_of_the_wrong_class_is_named(key):
     with pytest.raises(InvalidInputError) as info:
         CASES[key][1]()
     assert str(info.value) == NAMED[key]
+
+
+def test_uniqueness_check_names_its_dimension_before_the_pair_mismatch():
+    with pytest.raises(DimensionMismatchError) as info:
+        CASES["uniqueness-dim-2-vs-3"][1]()
+    assert str(info.value) == "uniqueness check is for dimension 2"
