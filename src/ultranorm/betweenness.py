@@ -18,19 +18,14 @@ import itertools
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError)
 from .fields import Magnitude, _Immutable
-from .spaces import NormSpec, Vector, _exponents, _one_key, distance
+from .spaces import NormSpec, Vector, distance
 
 _ONE = NormSpec.one()
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
-    """Exact test of ||x - y||_1 = ||x - z||_1 + ||z - y||_1, on the integer
-    keys of the exponents of x - y and of x - z and z - y together."""
-    Vector._check(x, y)
-    Vector._check(x, z)
-    p = x.field._p
-    xy, xz, zy = (_exponents(a.coords, b.coords, p).values() for a, b in ((x, y), (x, z), (z, y)))
-    return _one_key(xy, p) == _one_key([*xz, *zy], p)
+    """Exact test of ||x - y||_1 = ||x - z||_1 + ||y - z||_1."""
+    return distance(x, y, _ONE) == distance(x, z, _ONE) + distance(y, z, _ONE)
 
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:

@@ -30,8 +30,7 @@ from .errors import (
     require_type,
 )
 from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, valuation
-from .spaces import (NormSpec, Vector, _check_weights, _integer_exponents, _integers, _norm_key,
-                     distance, norm)
+from .spaces import NormSpec, Vector, _difference_key, distance, norm
 
 
 class AffineMap(_Immutable):
@@ -461,29 +460,25 @@ class IsometryReport:
 def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     """Check distance preservation and injectivity over all probe pairs.
 
-    Each probe's and image's coordinate integers are read once; each pair
-    then compares the exact integer keys of its two distances, and a pair
-    whose images agree on every coordinate is a collision.  `distance`
-    builds the Fractions of the kept witnesses only.  Violations are report
-    content, never exceptions: all are counted, the first WITNESS_LIMIT of
-    each kind are kept.  When the probe map is complete, surjectivity onto
-    the finite space is checked as well.
+    Each pair compares the exact keys of its two distances (integers under
+    the one and sup norms), and a pair whose images are equal is a
+    collision.  `distance` builds the Fractions of the kept witnesses only.
+    Violations are report content, never exceptions: all are counted, the
+    first WITNESS_LIMIT of each kind are kept.  When the probe map is
+    complete, surjectivity onto the finite space is checked as well.
     """
     report = IsometryReport(norm=str(spec), probes=len(m.domain))
-    if len(m.domain) > 1:   # raised at the first pair, as `distance` would
-        _check_weights(spec, m.dim)
-    p = m.field._p
-    points = [(x, fx, _integers(x), _integers(fx)) for x, fx in zip(m.domain, m.images)]
-    for (x, fx, xs, fxs), (y, fy, ys, fys) in itertools.combinations(points, 2):
+    for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
         Vector._check(x, y)
+        domain = _difference_key(x, y.coords, spec)
         Vector._check(fx, fy)
-        domain, image = _integer_exponents(xs, ys, p), _integer_exponents(fxs, fys, p)
-        if not image or _norm_key(domain, p, spec) != _norm_key(image, p, spec):
+        image = _difference_key(fx, fy.coords, spec)
+        if domain != image:
             report.violation_count += 1
             if len(report.distance_violations) < WITNESS_LIMIT:
                 report.distance_violations.append(
                     (x, y, distance(x, y, spec), distance(fx, fy, spec)))
-        if not image:
+        if image is None:
             report.collision_count += 1
             if len(report.collisions) < WITNESS_LIMIT:
                 report.collisions.append((x, y, fx))

@@ -7,10 +7,10 @@ are ultrametric (strong triangle inequality); the taxicab norm is not once
 the dimension exceeds 1, which is the whole point of this package.
 
 Every norm is read off the exponents e_i, where |x_i - y_i| = p**e_i,
-which come from the coordinates' integer numerators and denominators.
-`distance` and `norm` build one Fraction per result from them.  Callers
-that only compare norms reduce them to exact integer keys instead
-(`_norm_key`), and build no Fraction.
+which come from the coordinates' integer numerators and denominators, and
+reduced to an exact key that is equal exactly when the norms are
+(`_difference_key`).  `distance` and `norm` build one Fraction per result
+from the key; callers that only compare norms compare keys and build none.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable, _multiplicity,
-                     valuation)
+from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable,
+                     _multiplicity, valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -188,87 +188,62 @@ class NormSpec(_Immutable):
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
     """Exact norm value of v under spec: its distance from the origin."""
     Vector._check(v, v)   # refuses a v that is not a Vector
-    return distance(v, Vector(v.field, (v.field.zero,) * len(v.coords)), spec)
+    return _key_value(_difference_key(v, itertools.repeat(v.field.zero), spec), v.field._p, spec)
 
 
 def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     """d(x, y) = ||x - y||; exact, symmetric, zero iff x = y."""
     Vector._check(x, y)
-    if spec.kind == WSUP:
-        _check_weights(spec, len(x.coords))
-    p = x.field._p
-    exps = _exponents(x.coords, y.coords, p)
-    if not exps:
-        return Fraction(0)
-    if spec.kind == ONE:   # the sum over the common denominator
-        lo = min(exps.values())
-        total = sum(p ** (e - lo) for e in exps.values())
-        return Fraction(total, p ** -lo) if lo < 0 else Fraction(total * p ** lo)
-    if spec.kind == SUP:
-        return Fraction(p) ** max(exps.values())
-    return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
+    return _key_value(_difference_key(x, y.coords, spec), x.field._p, spec)
 
 
-def _check_weights(spec: NormSpec, n: int) -> None:
-    if spec.kind == WSUP and len(spec.weights) != n:
-        raise DimensionMismatchError(f"{len(spec.weights)} weights for dimension {n}")
+def _difference_key(x: Vector, ys, spec: NormSpec):
+    """An exact key of ||x - y|| from x and y's coordinates, equal exactly
+    when the norms are; None when x = y.
 
-
-def _exponents(xs, ys, p: int) -> dict[int, int]:
-    """Coordinate index -> e, where |x_i - y_i| = p**e, for each x_i != y_i.
-
-    Over padic:p, with x_i = an/ad and y_i = bn/bd in lowest terms,
-    e = ord_p(ad*bd) - ord_p(an*bd - bn*ad) comes from integers alone; over
-    gf:q and trivial:q (p = 1), e = 0.
+    Each |a - b| with a != b is p**e.  Over padic:p, with a = an/ad and
+    b = bn/bd in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad)
+    comes from integers alone; over gf:q and trivial:q (p = 1), e = 0.
+    The one-norm's key is (total, lo), worth total * p**lo, with p not
+    dividing total when p > 1; the sup norm's is the largest e; the
+    weighted sup norm's, whose weights are rationals, is the norm itself.
     """
-    exps = {}
-    for i, (a, b) in enumerate(zip(xs, ys)):
+    if spec.kind == WSUP and len(spec.weights) != x.dim:
+        raise DimensionMismatchError(
+            f"{len(spec.weights)} weights for dimension {x.dim}")
+    p = x.field._p
+    exps = {}   # coordinate index -> e, where a != b
+    for i, (a, b) in enumerate(zip(x.coords, ys)):
         if a is b:   # segment points share their endpoints' scalars
             continue
         (an, ad), (bn, bd) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
         if an != bn or ad != bd:
             exps[i] = 0 if p == 1 else (_multiplicity(ad * bd, p)
                                         - _multiplicity(an * bd - bn * ad, p))
-    return exps
-
-
-def _integers(v: Vector) -> list[tuple[int, int, int]]:
-    """Each coordinate of v as (num, den, ord_p(den)) in lowest terms, for
-    callers that read a point's integers once and compare many pairs."""
-    p = v.field._p
-    return [(n, d, 0 if d == 1 or p == 1 else _multiplicity(d, p))
-            for n, d in (c.value.as_integer_ratio() for c in v.coords)]
-
-
-def _integer_exponents(xs, ys, p: int) -> dict[int, int]:
-    """`_exponents` from two `_integers` lists: ord_p(ad*bd) is av + bv."""
-    exps = {}
-    for i, ((an, ad, av), (bn, bd, bv)) in enumerate(zip(xs, ys)):
-        if an != bn or ad != bd:
-            exps[i] = 0 if p == 1 else av + bv - _multiplicity(an * bd - bn * ad, p)
-    return exps
-
-
-def _norm_key(exps: dict[int, int], p: int, spec: NormSpec):
-    """A key of the norm whose exponents are `exps`, equal exactly when the
-    norms are: `_one_key` for the one-norm; for sup the largest exponent and
-    for wsup, whose weights are rationals, the norm itself (exps nonempty)."""
-    if spec.kind == ONE:
-        return _one_key(exps.values(), p)
+    if not exps:
+        return None
+    if spec.kind == ONE:   # the sum over the common denominator p**-lo
+        lo = min(exps.values())
+        total = sum(p ** (e - lo) for e in exps.values())
+        while p > 1 and total % p == 0:   # a carry
+            total //= p
+            lo += 1
+        return total, lo
     if spec.kind == SUP:
         return max(exps.values())
     return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
 
 
-def _one_key(exps, p: int) -> tuple[int, int]:
-    """(total, lo) with sum(p**e) = total * p**lo and, when p > 1, p not
-    dividing total; (0, 0) for no exponents."""
-    lo = min(exps, default=0)
-    total = sum(p ** (e - lo) for e in exps)
-    while p > 1 and total and total % p == 0:
-        total //= p
-        lo += 1
-    return total, lo
+def _key_value(key, p: int, spec: NormSpec) -> Magnitude:
+    """The norm whose `_difference_key` is key."""
+    if key is None:
+        return Fraction(0)
+    if spec.kind == ONE:
+        total, lo = key
+        return Fraction(total, p ** -lo) if lo < 0 else Fraction(total * p ** lo)
+    if spec.kind == SUP:
+        return Fraction(p) ** key
+    return key
 
 
 def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:

@@ -1,5 +1,5 @@
-"""`verify_isometry` and `is_metrically_between` compare norms as integer
-keys; these tests hold them to references built from `Fraction`s.
+"""`verify_isometry` compares norms as exact keys; these tests hold it,
+and `is_metrically_between`, to references built from `Fraction`s.
 
 The references take each coordinate's absolute value with `naive.padic_abs`
 or `naive.trivial_abs` and sum or maximise them as the definitions say.
