@@ -149,6 +149,8 @@ class TableMap(_Immutable):
         return self.entries[0][0].field
 
     def apply(self, a: Scalar) -> Scalar:
+        if type(a) is not Scalar:   # the fast test; a TypeError, as for s + 1
+            self.entries[0][0]._check(a)
         image = self._lookup.get(a.value) if a.field is self.field else None
         if image is None:
             raise OutsideDomainError(f"value {a} not in isometry table")
@@ -217,9 +219,13 @@ class AxialIsometry(_Immutable):
     """translation + (tau_1(x_{sigma[1]}), ..., tau_n(x_{sigma[n]})).
 
     sigma[i] is the 0-based input coordinate feeding output coordinate i.
+    `apply` evaluates through a plan built on first use and kept: per output
+    coordinate, the source axis and either a table from raw input values to
+    image Scalars or an affine map's raw slope and offset, with the
+    translation folded into both.
     """
 
-    __slots__ = ("sigma", "taus", "translation")
+    __slots__ = ("sigma", "taus", "translation", "_plan")
 
     def __init__(self, sigma: tuple[int, ...], taus: tuple[ScalarIsometry, ...],
                  translation: Vector):
@@ -262,11 +268,28 @@ class AxialIsometry(_Immutable):
                 and all(tau.is_centred for tau in self.taus))
 
     def apply(self, x: Vector) -> Vector:
+        """Output coordinate i is tau_i(x[sigma[i]]) + t_i, read off the kept plan from
+        x's raw values: a table coordinate is looked up, an affine one is one Scalar."""
         self.translation._check(x)
-        coords = tuple(
-            tau.apply(x.coords[src]) + t
-            for tau, src, t in zip(self.taus, self.sigma, self.translation.coords))
-        return Vector(self.field, coords)
+        try:
+            plan = self._plan
+        except AttributeError:
+            plan = tuple(
+                (src, {a: b + t for a, b in tau._lookup.items()}, None, None)
+                if type(tau) is TableMap else (src, None, tau.u.value, tau.c.value + t.value)
+                for tau, src, t in zip(self.taus, self.sigma, self.translation.coords))
+            object.__setattr__(self, "_plan", plan)
+        field, raw, coords = self.field, x._raw_values(), []
+        for src, table, u, c in plan:
+            a = raw[src]
+            if table is None:
+                coords.append(Scalar(field, u * a + c))
+            else:
+                image = table.get(a)
+                if image is None:
+                    raise OutsideDomainError(f"value {a} not in isometry table")
+                coords.append(image)
+        return Vector(field, tuple(coords))
 
     def compose(self, other: "AxialIsometry") -> "AxialIsometry":
         """self after other: apply(compose, x) = self.apply(other.apply(x))."""
@@ -465,13 +488,13 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     collision.  `distance` builds the Fractions of the kept witnesses only.
     Violations are report content, never exceptions: all are counted, the
     first WITNESS_LIMIT of each kind are kept.  When the probe map is
-    complete, surjectivity onto the finite space is checked as well.
+    complete, surjectivity onto the finite space is checked as well.  The
+    points need no operand check here: `ProbeMap` refused any of another
+    class, field or dimension when it was built.
     """
     report = IsometryReport(norm=str(spec), probes=len(m.domain))
     for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
-        Vector._check(x, y)
         domain = _difference_key(x, y.coords, spec)
-        Vector._check(fx, fy)
         image = _difference_key(fx, fy.coords, spec)
         if domain != image:
             report.violation_count += 1

@@ -93,6 +93,7 @@ CASES = {
     "field-scalar-foreign": (FieldMismatchError, lambda: Q3.scalar(s(Q5, 1))),
     "field-elements-infinite": (InvalidInputError, lambda: Q3.elements()),
     "scalar-check-type": (TypeError, lambda: s(Q3, 1) + 1),
+    "table-apply-int": (TypeError, lambda: TableMap.from_residues(F3, [0, 2, 1]).apply(3)),
     "uniqueness-dim": (DimensionMismatchError,
                        lambda: uniqueness_check(v(Q3, 0, 0, 0), v(Q3, 1, 1, 1), 0, 0)),
     # a value of the wrong class is refused at construction, not later as a bug

@@ -208,6 +208,16 @@ def test_verify_builds_no_distance_without_a_violation(monkeypatch, spec):
     assert report.ok and report.pairs_checked == 48 * 47 // 2
 
 
+def test_verify_leaves_the_operand_checks_to_the_probe_map(monkeypatch):
+    m = _affine_map_on_48_points()
+
+    def refuse(*args):
+        raise AssertionError("Vector._check called")
+    monkeypatch.setattr(Vector, "_check", refuse)
+    report = verify_isometry(m, NormSpec.one())
+    assert report.ok and report.pairs_checked == 48 * 47 // 2
+
+
 def test_verify_builds_distances_for_the_kept_witnesses_only(monkeypatch):
     calls = []
     real = ultranorm.isometry.distance

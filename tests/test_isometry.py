@@ -756,3 +756,26 @@ def test_trivially_valued_tables_test_injectivity_in_one_pass():
     pairs = [(a, a) for a in range(2000)]
     assert TableMap.from_pairs(trivial, pairs).apply(trivial.scalar(1999)) == trivial.scalar(1999)
     assert time.perf_counter() - t0 < 1
+
+
+# -- probe points are checked once, when the probe map is built -------------------
+
+
+@pytest.mark.parametrize("stranger, error, message", [
+    (_v(F5, "1,2"), FieldMismatchError, "mixing padic:3 with gf:5"),
+    (_v(Q3, "1,2,0"), DimensionMismatchError, "dimension 2 vs 3"),
+    (3, InvalidInputError, "probe map point must be a Vector, got int"),
+    (Q3.scalar(1), InvalidInputError, "probe map point must be a Vector, got Scalar"),
+    (AxialIsometry.identity(Q3, 2), InvalidInputError,
+     "probe map point must be a Vector, got AxialIsometry"),
+], ids=["field", "dimension", "int", "scalar", "isometry"])
+@pytest.mark.parametrize("side, index", [("domain", 1), ("domain", -1), ("images", 0),
+                                         ("images", -1)])
+def test_probe_map_refuses_a_stranger_anywhere_past_the_first_point(stranger, error, message,
+                                                                   side, index):
+    # verify_isometry checks no operand: it relies on this refusal
+    points = [_v(Q3, "0,0"), _v(Q3, "1,0"), _v(Q3, "0,1/3")]
+    domain, images = list(points), list(points[::-1])
+    (domain if side == "domain" else images)[index] = stranger
+    with pytest.raises(error, match=f"^{message}$"):
+        ProbeMap(tuple(domain), tuple(images))
