@@ -309,7 +309,3 @@ def main(argv=None) -> int:
               args.format)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

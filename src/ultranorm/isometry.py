@@ -102,22 +102,18 @@ class TableMap(_Immutable):
         lookup = {a.value: b for a, b in entries}
         if len(lookup) != len(entries):
             raise InvalidInputError("duplicate table inputs")
-        if fld.kind == PADIC:
+        if len({b.value for _, b in entries}) != len(entries):   # the fast test
+            earlier: dict = {}   # image value -> the first input mapped to it
+            for a, fa in entries:
+                b = earlier.setdefault(fa.value, a)
+                if b is not a:
+                    raise InvalidInputError(f"table not injective: {b} and {a} both map to {fa}")
+        if fld.kind == PADIC:   # over gf:q and trivial:q, injective is metric-preserving
             for (a, fa), (b, fb) in itertools.combinations(entries, 2):
-                if fa == fb:
-                    raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
                 if valuation(a - b) != valuation(fa - fb):
                     raise InvalidInputError(
                         f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                         f"but |{fa}-{fb}|={valuation(fa - fb)}")
-        elif len({b.value for _, b in entries}) != len(entries):
-            # trivially valued, so injectivity is metric preservation.  The first colliding
-            # pair in combinations order is the first two inputs of the earliest repeated image
-            inputs: dict[Scalar, list[Scalar]] = {}
-            for a, fa in entries:
-                inputs.setdefault(fa, []).append(a)
-            fa, (a, b, *_) = next(item for item in inputs.items() if len(item[1]) > 1)
-            raise InvalidInputError(f"table not injective: {a} and {b} both map to {fa}")
         if fld.kind == GF and len(entries) != fld.prime:
             raise InvalidInputError(
                 f"finite-field table must be a bijection of all {fld.prime} residues")
@@ -149,9 +145,8 @@ class TableMap(_Immutable):
         return self.entries[0][0].field
 
     def apply(self, a: Scalar) -> Scalar:
-        if type(a) is not Scalar:   # the fast test; a TypeError, as for s + 1
-            self.entries[0][0]._check(a)
-        image = self._lookup.get(a.value) if a.field is self.field else None
+        self.entries[0][0]._check(a)   # a TypeError or field-mismatch, as for u * a
+        image = self._lookup.get(a.value)
         if image is None:
             raise OutsideDomainError(f"value {a} not in isometry table")
         return image
@@ -391,6 +386,7 @@ class ProbeMap(_Immutable):
         return self.domain[0].dim
 
     def image_of(self, x: Vector) -> Vector:
+        self.domain[0]._check(x)
         try:
             return self._lookup[x]
         except KeyError:
@@ -492,6 +488,8 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     points need no operand check here: `ProbeMap` refused any of another
     class, field or dimension when it was built.
     """
+    require_type("probe map", m, ProbeMap)
+    require_type("norm", spec, NormSpec)
     report = IsometryReport(norm=str(spec), probes=len(m.domain))
     for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
         domain = _difference_key(x, y.coords, spec)
@@ -556,6 +554,7 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     All three steps compare raw values (`Vector._raw_values`); Scalars are
     built only for the returned taus and for a failure's witness and message.
     """
+    require_type("probe map", m, ProbeMap)
     field, n = m.field, m.dim
     q = field.prime if field.kind == GF else None
     t = None
@@ -639,6 +638,7 @@ def sphere_shift_map(e0: Vector, v0: Vector, probes,
     e0 below another sup-norm value.  A probe from another field or
     dimension is refused before any norm is taken.
     """
+    require_type("norm", spec, NormSpec)
     e0._check(v0)
     pts = tuple(probes)
     for x in pts:

@@ -18,7 +18,7 @@ from math import factorial
 
 from .betweenness import coordinate_between
 from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
-                     WITNESS_LIMIT, EnumerationTooLargeError)
+                     WITNESS_LIMIT, EnumerationTooLargeError, require_type)
 from .fields import FieldSpec
 from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decompose
 from .spaces import NormSpec, Vector, distance, enumerate_space
@@ -144,6 +144,7 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     """
     if spec is None:
         spec = NormSpec.one()
+    require_type("norm", spec, NormSpec)
     if cap is None:
         cap = DEFAULT_ULTRAMETRIC_SPACE_CAP if spec.ultrametric else DEFAULT_SPACE_CAP
     EnumerationTooLargeError.check(q, n, cap, f"F_{q}^{n}")

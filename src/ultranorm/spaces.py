@@ -188,12 +188,16 @@ class NormSpec(_Immutable):
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
     """Exact norm value of v under spec: its distance from the origin."""
     Vector._check(v, v)   # refuses a v that is not a Vector
+    if type(spec) is not NormSpec:   # the fast test
+        require_type("norm", spec, NormSpec)
     return _key_value(_difference_key(v, itertools.repeat(v.field.zero), spec), v.field._p, spec)
 
 
 def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     """d(x, y) = ||x - y||; exact, symmetric, zero iff x = y."""
     Vector._check(x, y)
+    if type(spec) is not NormSpec:   # the fast test
+        require_type("norm", spec, NormSpec)
     return _key_value(_difference_key(x, y.coords, spec), x.field._p, spec)
 
 

@@ -25,22 +25,28 @@ from ultranorm import (
     Scalar,
     TableMap,
     Vector,
+    check_norm_axioms,
     coordinate_between,
+    decompose,
     differing_positions,
     distance,
+    enumerate_isometries,
     is_metrically_between,
     norm,
     scalar_isometry_from_json,
     segment,
+    sphere_shift_map,
     uniqueness_check,
     valuation,
     valuation_profile,
+    verify_isometry,
 )
 
 Q3 = FieldSpec.parse("padic:3")
 Q5 = FieldSpec.parse("padic:5")
 F2 = FieldSpec.parse("gf:2")
 F3 = FieldSpec.parse("gf:3")
+F5 = FieldSpec.parse("gf:5")
 
 
 def v(field, *coords):
@@ -138,6 +144,27 @@ CASES = {
                               lambda: uniqueness_check(v(Q3, 0, 0), v(Q3, 1, 1, 1), 0, 0)),
     "valuation-int": (InvalidInputError, lambda: valuation(3)),
     "valuation-profile-int": (InvalidInputError, lambda: valuation_profile(3)),
+    # a norm or probe map argument of the wrong class, not an AttributeError
+    "norm-str-spec": (InvalidInputError, lambda: norm(v(F3, 1, 2), "one")),
+    "distance-none-spec": (InvalidInputError, lambda: distance(v(F3, 1), v(F3, 2), None)),
+    "verify-str-spec": (InvalidInputError, lambda: verify_isometry(
+        ProbeMap((v(F3, 0),), (v(F3, 0),)), "sup")),
+    "check-axioms-str-spec": (InvalidInputError, lambda: check_norm_axioms(
+        "one", F3, [(v(F3, 1), v(F3, 2), F3.one)])),
+    "enumerate-str-spec": (InvalidInputError, lambda: enumerate_isometries(3, 1, "one")),
+    "sphere-shift-str-spec": (InvalidInputError,
+                              lambda: sphere_shift_map(v(Q3, 3), v(Q3, 1), [], "sup")),
+    "decompose-int-map": (InvalidInputError, lambda: decompose(3)),
+    "verify-int-map": (InvalidInputError, lambda: verify_isometry(3, NormSpec.one())),
+    # a lookup refuses a foreign operand through _check, before the lookup
+    "image-of-int": (InvalidInputError,
+                     lambda: ProbeMap((v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(3)),
+    "image-of-foreign-field": (FieldMismatchError, lambda: ProbeMap(
+        (v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(v(F5, 0, 0))),
+    "image-of-wrong-dim": (DimensionMismatchError, lambda: ProbeMap(
+        (v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(v(F3, 0, 0, 0))),
+    "table-apply-foreign-field": (FieldMismatchError,
+                                  lambda: TableMap.from_residues(F3, [0, 2, 1]).apply(F5.one)),
 }
 
 
@@ -153,6 +180,12 @@ NAMED = {key: "vector operand must be a Vector, got int"
 NAMED["scalar-norm-field"] = "scalar field must be a FieldSpec, got NormSpec"
 NAMED["uniqueness-int-second"] = NAMED["valuation-profile-int"] = NAMED["uniqueness-int-first"]
 NAMED["valuation-int"] = "valuation operand must be a Scalar, got int"
+NAMED["image-of-int"] = NAMED["norm-int-vector"]
+NAMED.update({key: "norm must be a NormSpec, got str" for key in CASES
+              if key.endswith("-str-spec")})
+NAMED["distance-none-spec"] = "norm must be a NormSpec, got NoneType"
+NAMED.update({key: "probe map must be a ProbeMap, got int" for key in CASES
+              if key.endswith("-int-map")})
 
 
 @pytest.mark.parametrize("key", NAMED)
@@ -160,6 +193,14 @@ def test_a_value_of_the_wrong_class_is_named(key):
     with pytest.raises(InvalidInputError) as info:
         CASES[key][1]()
     assert str(info.value) == NAMED[key]
+
+
+def test_norm_and_distance_name_a_vector_operand_before_the_norm():
+    for call in (lambda: norm(3, "one"), lambda: distance(v(F3, 1), 3, "one")):
+        with pytest.raises(InvalidInputError, match="^vector operand must be a Vector, got int$"):
+            call()
+    with pytest.raises(FieldMismatchError, match="^mixing gf:3 with gf:5$"):
+        distance(v(F3, 1), v(F5, 1), None)
 
 
 def test_uniqueness_check_names_its_dimension_before_the_pair_mismatch():

@@ -473,6 +473,50 @@ def test_image_of_a_point_outside_the_probe_domain_is_a_typed_error():
     assert isinstance(err.value, InvalidInputError)
 
 
+# -- a lookup refuses a foreign operand through _check, before the lookup ----------
+
+
+def _refusal(call):
+    try:
+        call()
+    except Exception as exc:   # the class and message are what the test compares
+        return type(exc), str(exc)
+    raise AssertionError("no refusal")
+
+
+_TABLES = {"gf:5": TableMap.from_residues(F5, [0, 2, 4, 1, 3]),
+           "padic:3-partial": TableMap.from_pairs(Q3, [(0, 0), (1, 2), ("1/3", "5/3")]),
+           "trivial:q": TableMap.from_pairs(FieldSpec.trivial(), [(0, 1), (1, 0)])}
+_STRANGERS = {"gf:2": F2.one, "gf:5": F5.one, "padic:3": Q3.one,
+              "padic:5": FieldSpec.parse("padic:5").one, "trivial:q": FieldSpec.trivial().one,
+              "int": 1}
+
+
+@pytest.mark.parametrize("table, stranger", [
+    pytest.param(table, stranger, id=f"{t}-{k}")
+    for t, table in _TABLES.items() for k, stranger in _STRANGERS.items()
+    if getattr(stranger, "field", None) is not table.field])
+def test_table_apply_refuses_a_foreign_operand_as_affine_apply_does(table, stranger):
+    affine = AffineMap(table.field.one, table.field.zero)
+    expected = (TypeError, "expected Scalar, got int") if type(stranger) is int else (
+        FieldMismatchError, f"mixing {table.field} with {stranger.field}")
+    assert _refusal(lambda: table.apply(stranger)) == _refusal(lambda: affine.apply(stranger))
+    assert _refusal(lambda: table.apply(stranger)) == expected
+
+
+@pytest.mark.parametrize("point, error, message", [
+    (3, InvalidInputError, "vector operand must be a Vector, got int"),
+    (Vector.make(F5, [0, 1]), FieldMismatchError, "mixing gf:3 with gf:5"),
+    (Vector.make(FieldSpec.gf(3), [0, 1, 0]), DimensionMismatchError, "dimension 2 vs 3"),
+    (Vector.make(FieldSpec.gf(3), [0, 1]), OutsideDomainError, "point 0,1 not in probe domain"),
+], ids=["int", "field", "dimension", "missing"])
+def test_image_of_refuses_a_foreign_point_before_the_lookup(point, error, message):
+    f3 = FieldSpec.gf(3)
+    pm = ProbeMap((Vector.make(f3, [0, 0]), Vector.make(f3, [1, 0])),
+                  (Vector.make(f3, [1, 0]), Vector.make(f3, [0, 0])))
+    assert _refusal(lambda: pm.image_of(point)) == (error, message)
+
+
 # -- the sphere-shift counterexample ---------------------------------------------
 
 
@@ -590,7 +634,7 @@ def test_frozen_classes_survive_pickle_and_copy(name, copier):
     if isinstance(value, TableMap):
         for a, b in value.entries:
             assert back.apply(a) == b
-        with pytest.raises(OutsideDomainError):
+        with pytest.raises(OutsideDomainError if value.field is Q3 else FieldMismatchError):
             back.apply(Q3.scalar(5) if value.field is Q3 else F5.one)
     if isinstance(value, ProbeMap):
         for x, y in zip(value.domain, value.images):
@@ -621,14 +665,15 @@ def test_value_classes_refuse_lists_and_a_non_bool_complete(build, message):
     assert hash(AxialIsometry((0,), (tau,), x)) == hash(AxialIsometry((0,), (tau,), x))
 
 
-@pytest.mark.parametrize("table, stranger", [
-    (TableMap.from_residues(FieldSpec.gf(3), [0, 2, 1]), F5.scalar(1)),
-    (TableMap.from_pairs(Q3, [(0, 0), (1, 2)]), FieldSpec.trivial().scalar(Fraction(1))),
+@pytest.mark.parametrize("table, stranger, message", [
+    (TableMap.from_residues(FieldSpec.gf(3), [0, 2, 1]), F5.scalar(1), "mixing gf:3 with gf:5"),
+    (TableMap.from_pairs(Q3, [(0, 0), (1, 2)]), FieldSpec.trivial().scalar(Fraction(1)),
+     "mixing padic:3 with trivial:q"),
 ], ids=["gf:3-gf:5", "padic:3-trivial:q"])
-def test_table_apply_refuses_an_equal_raw_value_from_another_field(table, stranger):
+def test_table_apply_refuses_an_equal_raw_value_from_another_field(table, stranger, message):
     own = table.field.scalar(1)
     assert own.value == stranger.value and table.apply(own) is table.entries[1][1]
-    with pytest.raises(OutsideDomainError, match="^value 1 not in isometry table$"):
+    with pytest.raises(FieldMismatchError, match=f"^{message}$"):
         table.apply(stranger)
 
 
@@ -747,10 +792,10 @@ def test_trivially_valued_tables_test_injectivity_in_one_pass():
                        match="^table not injective: 10005 and 10006 both map to 10005$"):
         TableMap.from_residues(field, list(range(10006)) + [10005])
     assert time.perf_counter() - t0 < 1
-    # the first colliding pair in pair order is 1 and 4, though 2 and 3 collide sooner
+    # 3 is the first input whose image repeats in entry order, though 1 and 4 are the first pair
     trivial = FieldSpec.trivial()
     with pytest.raises(InvalidInputError,
-                       match="^table not injective: 1 and 4 both map to 5$"):
+                       match="^table not injective: 2 and 3 both map to 6$"):
         TableMap.from_pairs(trivial, [(0, 0), (1, 5), (2, 6), (3, 6), (4, 5), (5, 5)])
     t0 = time.perf_counter()
     pairs = [(a, a) for a in range(2000)]

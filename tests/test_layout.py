@@ -6,7 +6,8 @@ Both rules are read from the source with `ast` alone; the modules that used
 to own a cap still export it.  No module imports `dataclasses`, and every
 value and report class is slotted: its instances carry no `__dict__`.  Only
 `cli.py` imports `time`: reports hold findings, and the CLI's --timing is the
-one clock.
+one clock.  Only `__main__.py` runs the CLI when executed: `python -m ultranorm`
+and the `ultranorm` console script are its two ways in.
 """
 
 from __future__ import annotations
@@ -90,6 +91,15 @@ def test_only_the_cli_reads_the_clock(path):
             assert node.module != "time", f"{path.name} imports from time"
         elif isinstance(node, ast.Import):
             assert all(a.name != "time" for a in node.names), f"{path.name} imports time"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_dunder_main_has_a_main_guard(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    guarded = any(isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+                  for node in ast.walk(tree))
+    assert guarded == (path.name == "__main__.py"), \
+        f"{path.name}: only __main__.py runs as a script"
 
 
 def _instances():
