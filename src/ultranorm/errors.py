@@ -45,7 +45,8 @@ def require_type(what: str, value, *kinds: type) -> None:
     growable, and a value of another class would fail later as a bug."""
     if type(value) not in kinds:
         names = " or ".join(kind.__name__ for kind in kinds)
-        raise InvalidInputError(f"{what} must be a {names}, got {type(value).__name__}")
+        article = "an" if names[0] in "AEIOUaeiou" else "a"
+        raise InvalidInputError(f"{what} must be {article} {names}, got {type(value).__name__}")
 
 
 class UltranormError(Exception):
@@ -122,7 +123,11 @@ class EnumerationTooLargeError(UltranormError):
         The power is formed only below 2**4096 (exponent times the bit length
         of base at most 4096); past that the error carries size None.  A
         negative exponent passes: the caller's own argument checks reject it.
+        A base, exponent or cap that is not an int is invalid input.
         """
+        if type(base) is not int or type(exponent) is not int or type(cap) is not int:
+            for what, value in (("size base", base), ("size exponent", exponent), ("cap", cap)):
+                require_type(what, value, int)
         if exponent < 0:
             return
         if exponent * abs(base).bit_length() > _MAX_SIZE_BITS:

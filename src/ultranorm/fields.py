@@ -267,31 +267,35 @@ class Scalar(_Immutable):
         return f"Scalar({self.field}, {self.value})"
 
 
-def _multiplicity(n: int, p: int) -> int:
-    """Exponent of p in n (n != 0), by repeated exact division."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _exponent(a, b, p: int) -> int | None:
+    """e with |a - b| = p**e for raw values of one field (`Scalar.value`s),
+    p being the field's `_p`; None when a = b.  With a = an/ad and b = bn/bd
+    in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad) over padic:p,
+    from integers alone; e = 0 over gf:q and trivial:q (p = 1).
+    """
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    num = an * bd - bn * ad
+    if not num:
+        return None
+    if p == 1:
+        return 0
+    den, e = ad * bd, 0
+    while den % p == 0:
+        den, e = den // p, e + 1
+    while num % p == 0:
+        num, e = num // p, e - 1
+    return e
 
 
 def valuation(a: Scalar) -> Magnitude:
-    """|a| as an exact nonnegative rational.
-
-    p-adic: p**(-v) where v is the multiplicity of p in the numerator minus
-    the multiplicity in the denominator.  Trivial and finite-field cases: 1
-    for nonzero, 0 for zero.
+    """|a| as an exact nonnegative rational: p**e with e = `_exponent(a, 0)`
+    over padic:p, 1 for nonzero a over gf:q and trivial:q, and 0 at zero.
     """
     if type(a) is not Scalar:   # the fast test
         require_type("valuation operand", a, Scalar)
-    if a.is_zero:
-        return Fraction(0)
-    if a.field.kind != PADIC:
-        return Fraction(1)
-    p = a.field.prime
-    v = _multiplicity(a.value.numerator, p) - _multiplicity(a.value.denominator, p)
-    return Fraction(p) ** (-v)
+    p = a.field._p
+    e = _exponent(a.value, 0, p)
+    return Fraction(0) if e is None else Fraction(p) ** e
 
 
 # -- axiom verification -------------------------------------------------------
@@ -343,10 +347,13 @@ def check_valuation_axioms(spec: FieldSpec, samples) -> AxiomReport:
     ``samples`` is an iterable of (a, b) Scalar pairs from ``spec``.  Checked
     per pair: |ab| = |a||b|, the ultrametric bound |a+b| <= max(|a|, |b|),
     the isosceles refinement (equality whenever |a| != |b|), and per element
-    that |a| = 0 exactly at a = 0.  All comparisons are exact.
+    that |a| = 0 exactly at a = 0.  All comparisons are exact.  A sample
+    from another field than `spec` is refused as a field mismatch.
     """
-    report = AxiomReport(subject=str(spec))
+    require_type("field", spec, FieldSpec)
+    report, zero = AxiomReport(subject=str(spec)), spec.zero
     for a, b in samples:
+        zero._check(a)   # a + b checks b against a
         va, vb = valuation(a), valuation(b)
         vsum = valuation(a + b)
         vprod = valuation(a * b)

@@ -29,7 +29,7 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, valuation
+from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, _exponent, valuation
 from .spaces import NormSpec, Vector, _difference_key, distance, norm
 
 
@@ -109,8 +109,8 @@ class TableMap(_Immutable):
                 if b is not a:
                     raise InvalidInputError(f"table not injective: {b} and {a} both map to {fa}")
         if fld.kind == PADIC:   # over gf:q and trivial:q, injective is metric-preserving
-            for (a, fa), (b, fb) in itertools.combinations(entries, 2):
-                if valuation(a - b) != valuation(fa - fb):
+            for (a, fa), (b, fb) in itertools.combinations(entries, 2):   # no Scalar per pair
+                if _exponent(a.value, b.value, fld._p) != _exponent(fa.value, fb.value, fld._p):
                     raise InvalidInputError(
                         f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                         f"but |{fa}-{fb}|={valuation(fa - fb)}")
@@ -131,6 +131,7 @@ class TableMap(_Immutable):
     @classmethod
     def from_residues(cls, field: FieldSpec, images) -> "TableMap":
         """Finite-field form: images[r] is the image of residue r."""
+        require_type("field", field, FieldSpec)
         if field.kind != GF:
             raise InvalidInputError("residue tables are for finite fields")
         return cls(tuple(
@@ -138,6 +139,7 @@ class TableMap(_Immutable):
 
     @classmethod
     def from_pairs(cls, field: FieldSpec, pairs) -> "TableMap":
+        require_type("field", field, FieldSpec)
         return cls(tuple((field.scalar(a), field.scalar(b)) for a, b in pairs))
 
     @property
@@ -174,6 +176,7 @@ ScalarIsometry = AffineMap | TableMap
 
 
 def scalar_isometry_from_json(field: FieldSpec, obj) -> ScalarIsometry:
+    require_type("field", field, FieldSpec)
     if not isinstance(obj, dict):
         raise ParseError(f"bad scalar isometry object {quoted(obj)}")
     if "affine" in obj:
@@ -288,6 +291,7 @@ class AxialIsometry(_Immutable):
 
     def compose(self, other: "AxialIsometry") -> "AxialIsometry":
         """self after other: apply(compose, x) = self.apply(other.apply(x))."""
+        require_type("axial isometry", other, AxialIsometry)
         self.translation._check(other.translation)
         sigma = tuple(other.sigma[s] for s in self.sigma)
         taus = tuple(
@@ -374,6 +378,7 @@ class ProbeMap(_Immutable):
 
     @classmethod
     def from_isometry(cls, iso: AxialIsometry, points, complete: bool = False) -> "ProbeMap":
+        require_type("axial isometry", iso, AxialIsometry)
         pts = tuple(points)
         return cls(pts, tuple(map(iso.apply, pts)), complete)
 
@@ -639,7 +644,7 @@ def sphere_shift_map(e0: Vector, v0: Vector, probes,
     dimension is refused before any norm is taken.
     """
     require_type("norm", spec, NormSpec)
-    e0._check(v0)
+    Vector._check(e0, v0)
     pts = tuple(probes)
     for x in pts:
         e0._check(x)

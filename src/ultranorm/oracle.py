@@ -145,6 +145,7 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     if spec is None:
         spec = NormSpec.one()
     require_type("norm", spec, NormSpec)
+    require_type("centred flag", centred, bool)
     if cap is None:
         cap = DEFAULT_ULTRAMETRIC_SPACE_CAP if spec.ultrametric else DEFAULT_SPACE_CAP
     EnumerationTooLargeError.check(q, n, cap, f"F_{q}^{n}")
@@ -257,6 +258,7 @@ def group_closure_check(result: EnumerationResult) -> ClosureReport:
     Maps are composed as index permutations ((f o g)[i] = f[g[i]]) and looked
     up in the enumerated set.
     """
+    require_type("enumeration result", result, EnumerationResult)
     perms = set(result.isometries)
     n_points = len(result.points)
     report = ClosureReport(size=len(perms))

@@ -6,9 +6,9 @@ max_i w_i |x_i| with strictly positive rational weights.  The sup variants
 are ultrametric (strong triangle inequality); the taxicab norm is not once
 the dimension exceeds 1, which is the whole point of this package.
 
-Every norm is read off the exponents e_i, where |x_i - y_i| = p**e_i,
-which come from the coordinates' integer numerators and denominators, and
-reduced to an exact key that is equal exactly when the norms are
+Every norm is read off the exponents e_i, |x_i - y_i| = p**e_i, that
+`fields._exponent` takes from integers, as `valuation` does, and reduced
+to an exact key that is equal exactly when the norms are
 (`_difference_key`).  `distance` and `norm` build one Fraction per result
 from the key; callers that only compare norms compare keys and build none.
 """
@@ -26,8 +26,8 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable,
-                     _multiplicity, valuation)
+from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable, _exponent,
+                     valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -202,12 +202,9 @@ def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
 
 
 def _difference_key(x: Vector, ys, spec: NormSpec):
-    """An exact key of ||x - y|| from x and y's coordinates, equal exactly
-    when the norms are; None when x = y.
+    """An exact key of ||x - y|| from the exponents e_i = `_exponent(x_i, y_i)`,
+    equal exactly when the norms are; None when x = y.
 
-    Each |a - b| with a != b is p**e.  Over padic:p, with a = an/ad and
-    b = bn/bd in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad)
-    comes from integers alone; over gf:q and trivial:q (p = 1), e = 0.
     The one-norm's key is (total, lo), worth total * p**lo, with p not
     dividing total when p > 1; the sup norm's is the largest e; the
     weighted sup norm's, whose weights are rationals, is the norm itself.
@@ -218,12 +215,10 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     p = x.field._p
     exps = {}   # coordinate index -> e, where a != b
     for i, (a, b) in enumerate(zip(x.coords, ys)):
-        if a is b:   # segment points share their endpoints' scalars
-            continue
-        (an, ad), (bn, bd) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
-        if an != bn or ad != bd:
-            exps[i] = 0 if p == 1 else (_multiplicity(ad * bd, p)
-                                        - _multiplicity(an * bd - bn * ad, p))
+        if a is not b:   # segment points share their endpoints' scalars
+            e = _exponent(a.value, b.value, p)
+            if e is not None:
+                exps[i] = e
     if not exps:
         return None
     if spec.kind == ONE:   # the sum over the common denominator p**-lo
@@ -258,6 +253,7 @@ def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:
 
 def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
     """All q**n vectors of F_q^n in lexicographic coordinate order."""
+    require_type("field", field, FieldSpec)
     if field.kind != GF:
         raise InvalidInputError(f"cannot enumerate infinite space over {field}")
     if n < 1:
@@ -271,11 +267,16 @@ def check_norm_axioms(spec: NormSpec, field: FieldSpec, samples) -> AxiomReport:
     Checked per triple, all exactly: definiteness (||x|| = 0 iff x = 0),
     homogeneity ||lam x|| = |lam| ||x||, the triangle inequality, the strong
     triangle inequality for the sup variants, and absoluteness: when x and y
-    have equal coordinate-wise valuations their norms agree.
+    have equal coordinate-wise valuations their norms agree.  A sample from
+    another field than `field` is refused as a field mismatch.
     """
+    require_type("norm", spec, NormSpec)
+    require_type("field", field, FieldSpec)
     report = AxiomReport(subject=f"{spec} over {field}")
-    zero_mag = Fraction(0)
+    zero_mag, zero = Fraction(0), field.zero
     for x, y, lam in samples:
+        Vector._check(x, y)
+        zero._check(x.coords[0])   # x.scale(lam) checks lam against x
         nx, ny = norm(x, spec), norm(y, spec)
         report.record((nx == zero_mag) == all(c.is_zero for c in x.coords),
                       "definiteness", (x,), f"||x||={nx}")

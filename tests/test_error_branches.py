@@ -26,11 +26,15 @@ from ultranorm import (
     TableMap,
     Vector,
     check_norm_axioms,
+    check_valuation_axioms,
     coordinate_between,
     decompose,
     differing_positions,
     distance,
     enumerate_isometries,
+    enumerate_space,
+    exhaustive_betweenness_check,
+    group_closure_check,
     is_metrically_between,
     norm,
     scalar_isometry_from_json,
@@ -165,6 +169,44 @@ CASES = {
         (v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(v(F3, 0, 0, 0))),
     "table-apply-foreign-field": (FieldMismatchError,
                                   lambda: TableMap.from_residues(F3, [0, 2, 1]).apply(F5.one)),
+    # an axiom sweep checks its arguments before any sample, and every sample's field
+    "check-axioms-empty-str-spec": (InvalidInputError,
+                                    lambda: check_norm_axioms("one", "gf:3", [])),
+    "check-axioms-str-field": (InvalidInputError,
+                               lambda: check_norm_axioms(NormSpec.one(), "gf:3", [])),
+    "check-valuation-str-field": (InvalidInputError, lambda: check_valuation_axioms("gf:3", [])),
+    "check-valuation-nonsense-field": (InvalidInputError, lambda: check_valuation_axioms(
+        "nonsense", [(s(Q3, 1), s(Q3, 3))])),
+    "check-axioms-foreign-samples": (FieldMismatchError, lambda: check_norm_axioms(
+        NormSpec.one(), F5, [(v(Q3, 1, 3), v(Q3, 2, 9), s(Q3, 3))])),
+    "check-axioms-foreign-lam": (FieldMismatchError, lambda: check_norm_axioms(
+        NormSpec.one(), F3, [(v(F3, 1), v(F3, 2), F5.one)])),
+    "check-axioms-int-first": (InvalidInputError, lambda: check_norm_axioms(
+        NormSpec.one(), F3, [(3, v(F3, 2), F3.one)])),
+    "check-valuation-foreign-samples": (FieldMismatchError, lambda: check_valuation_axioms(
+        F5, [(s(Q3, 1), s(Q3, 3))])),
+    # a field argument of the wrong class, not an AttributeError
+    "enumerate-space-str-field": (InvalidInputError, lambda: enumerate_space("gf:3", 2)),
+    "table-residues-str-field": (InvalidInputError,
+                                 lambda: TableMap.from_residues("gf:3", [0, 2, 1])),
+    "table-pairs-str-field": (InvalidInputError, lambda: TableMap.from_pairs("gf:3", [(0, 1)])),
+    "scalar-iso-json-str-field": (InvalidInputError,
+                                  lambda: scalar_isometry_from_json("gf:3", {"table": [0, 2, 1]})),
+    # an object argument of the wrong class, not an AttributeError
+    "closure-str-result": (InvalidInputError, lambda: group_closure_check("x")),
+    "probe-from-int-isometry": (InvalidInputError,
+                                lambda: ProbeMap.from_isometry(3, [v(F3, 0)])),
+    "compose-int-isometry": (InvalidInputError,
+                             lambda: AxialIsometry.identity(F3, 1).compose(3)),
+    "sphere-shift-int-first": (InvalidInputError,
+                               lambda: sphere_shift_map(3, v(Q3, 1), [v(Q3, 0)])),
+    # a flag or cap of the wrong type
+    "enumerate-int-centred": (InvalidInputError,
+                              lambda: enumerate_isometries(2, 1, centred=1)),
+    "segment-str-cap": (InvalidInputError, lambda: segment(v(F3, 1, 2), v(F3, 2, 1), "5")),
+    "enumerate-str-cap": (InvalidInputError, lambda: enumerate_isometries(2, 1, cap="9")),
+    "enumerate-str-q": (InvalidInputError, lambda: enumerate_isometries("3", 1)),
+    "betweenness-str-n": (InvalidInputError, lambda: exhaustive_betweenness_check(2, "1")),
 }
 
 
@@ -186,6 +228,17 @@ NAMED.update({key: "norm must be a NormSpec, got str" for key in CASES
 NAMED["distance-none-spec"] = "norm must be a NormSpec, got NoneType"
 NAMED.update({key: "probe map must be a ProbeMap, got int" for key in CASES
               if key.endswith("-int-map")})
+NAMED.update({key: "field must be a FieldSpec, got str" for key in (
+    "check-axioms-str-field", "check-valuation-str-field", "check-valuation-nonsense-field",
+    "enumerate-space-str-field", "table-residues-str-field", "table-pairs-str-field",
+    "scalar-iso-json-str-field")})
+NAMED["closure-str-result"] = "enumeration result must be an EnumerationResult, got str"
+NAMED["probe-from-int-isometry"] = "axial isometry must be an AxialIsometry, got int"
+NAMED["compose-int-isometry"] = NAMED["probe-from-int-isometry"]
+NAMED["enumerate-int-centred"] = "centred flag must be a bool, got int"
+NAMED["segment-str-cap"] = NAMED["enumerate-str-cap"] = "cap must be an int, got str"
+NAMED["enumerate-str-q"] = "size base must be an int, got str"
+NAMED["betweenness-str-n"] = "size exponent must be an int, got str"
 
 
 @pytest.mark.parametrize("key", NAMED)

@@ -7,7 +7,9 @@ to own a cap still export it.  No module imports `dataclasses`, and every
 value and report class is slotted: its instances carry no `__dict__`.  Only
 `cli.py` imports `time`: reports hold findings, and the CLI's --timing is the
 one clock.  Only `__main__.py` runs the CLI when executed: `python -m ultranorm`
-and the `ultranorm` console script are its two ways in.
+and the `ultranorm` console script are its two ways in.  Only `fields.py`
+calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
+one integer kernel, `fields._exponent`.
 """
 
 from __future__ import annotations
@@ -100,6 +102,21 @@ def test_only_dunder_main_has_a_main_guard(path):
                   for node in ast.walk(tree))
     assert guarded == (path.name == "__main__.py"), \
         f"{path.name}: only __main__.py runs as a script"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_only_fields_reads_integer_ratios(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"]
+    assert calls == [], f"{path.name}:{calls} reads integer ratios; use fields._exponent"
+
+
+def test_fields_reads_integer_ratios():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+               for node in ast.walk(tree))
 
 
 def _instances():
