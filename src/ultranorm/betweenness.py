@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
-                     InvalidInputError)
+                     InvalidInputError, require_type)
 from .fields import Magnitude, _Immutable
 from .spaces import NormSpec, Vector, distance
 
@@ -100,6 +100,8 @@ def uniqueness_check(a: Vector, c: Vector, d1: Magnitude, d2: Magnitude) -> list
     Vector._check(c, c)
     if a.dim != 2 or c.dim != 2:
         raise DimensionMismatchError("uniqueness check is for dimension 2")
+    require_type("distance d1", d1, int, Magnitude)
+    require_type("distance d2", d2, int, Magnitude)
     total = distance(c, a, _ONE)
     if d1 + d2 != total:
         raise InvalidInputError(f"d1 + d2 = {d1 + d2} != ||c - a||_1 = {total}")

@@ -132,6 +132,7 @@ class TableMap(_Immutable):
     def from_residues(cls, field: FieldSpec, images) -> "TableMap":
         """Finite-field form: images[r] is the image of residue r."""
         require_type("field", field, FieldSpec)
+        require_type("residue images", images, list, tuple)
         if field.kind != GF:
             raise InvalidInputError("residue tables are for finite fields")
         return cls(tuple(
@@ -249,8 +250,10 @@ class AxialIsometry(_Immutable):
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "AxialIsometry":
+        require_type("field", field, FieldSpec)
+        translation = Vector.zero(field, n)   # refuses an n that is not an int
         ident = AffineMap(field.one, field.zero)
-        return cls(tuple(range(n)), (ident,) * n, Vector.zero(field, n))
+        return cls(tuple(range(n)), (ident,) * n, translation)
 
     @property
     def field(self) -> FieldSpec:

@@ -18,7 +18,7 @@ from math import factorial
 
 from .betweenness import coordinate_between
 from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
-                     WITNESS_LIMIT, EnumerationTooLargeError, require_type)
+                     WITNESS_LIMIT, EnumerationTooLargeError, InvalidInputError, require_type)
 from .fields import FieldSpec
 from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decompose
 from .spaces import NormSpec, Vector, distance, enumerate_space
@@ -32,6 +32,11 @@ def axial_isometry_count(q: int, n: int, centred: bool = False) -> int:
     bijection of F_q is a scalar isometry); the enumerator cross-checks it
     and never assumes it.
     """
+    require_type("field size", q, int)
+    require_type("dimension", n, int)
+    require_type("centred flag", centred, bool)
+    if q < 1 or n < 1:
+        raise InvalidInputError(f"q and n must be at least 1, got q={q}, n={n}")
     per_coord = factorial(q - 1) if centred else factorial(q)
     return factorial(n) * per_coord ** n
 

@@ -80,6 +80,7 @@ class Vector(_Immutable):
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "Vector":
+        require_type("dimension", n, int)
         return cls.make(field, [0] * n)
 
     @classmethod

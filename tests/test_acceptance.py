@@ -27,14 +27,10 @@ from ultranorm import (
     sphere_shift_map,
     verify_isometry,
 )
-from ultranorm.sampling import (
-    norm_axiom_samples,
-    probe_grid,
-    random_axial_isometry,
-    random_scalar,
-    random_vector,
-)
+from ultranorm.sampling import norm_axiom_samples, random_scalar, random_vector
 from ultranorm.spaces import Vector, enumerate_space
+
+from gen import probe_grid, random_axial_isometry
 
 Q3 = FieldSpec.parse("padic:3")
 ONE = NormSpec.one()

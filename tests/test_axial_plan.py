@@ -22,7 +22,8 @@ from ultranorm import (
 )
 from ultranorm.errors import OutsideDomainError
 from ultranorm.fields import Scalar
-from ultranorm.sampling import probe_grid, random_axial_isometry
+
+from gen import probe_grid, random_axial_isometry
 
 Q3, Q5 = FieldSpec.padic(3), FieldSpec.padic(5)
 F5 = FieldSpec.gf(5)

@@ -9,7 +9,8 @@ import pytest
 import ultranorm
 from ultranorm import FieldSpec, ProbeMap, UltranormError
 from ultranorm.cli import main
-from ultranorm.sampling import probe_grid, random_axial_isometry
+
+from gen import probe_grid, random_axial_isometry
 
 Q3 = FieldSpec.parse("padic:3")
 

@@ -8,6 +8,7 @@ class, pin their message as well.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from ultranorm import (
     Scalar,
     TableMap,
     Vector,
+    axial_isometry_count,
     check_norm_axioms,
     check_valuation_axioms,
     coordinate_between,
@@ -45,6 +47,7 @@ from ultranorm import (
     valuation_profile,
     verify_isometry,
 )
+from ultranorm.sampling import grid_from_values, norm_axiom_samples, random_scalar, random_vector
 
 Q3 = FieldSpec.parse("padic:3")
 Q5 = FieldSpec.parse("padic:5")
@@ -207,6 +210,32 @@ CASES = {
     "enumerate-str-cap": (InvalidInputError, lambda: enumerate_isometries(2, 1, cap="9")),
     "enumerate-str-q": (InvalidInputError, lambda: enumerate_isometries("3", 1)),
     "betweenness-str-n": (InvalidInputError, lambda: exhaustive_betweenness_check(2, "1")),
+    "table-residues-str-images": (InvalidInputError,
+                                  lambda: TableMap.from_residues(F3, "012")),
+    # the CLI's draws and the identity map check their field
+    "random-scalar-str-field": (InvalidInputError,
+                                lambda: random_scalar("gf:3", random.Random(1))),
+    "random-vector-str-field": (InvalidInputError,
+                                lambda: random_vector("gf:3", 2, random.Random(1))),
+    "axiom-samples-str-field": (InvalidInputError,
+                                lambda: norm_axiom_samples("gf:3", 2, 3, random.Random(1))),
+    "grid-str-field": (InvalidInputError, lambda: grid_from_values("gf:3", 2, ["0", "1"])),
+    "identity-str-field": (InvalidInputError, lambda: AxialIsometry.identity("gf:3", 1)),
+    # a size is exactly an int, so True is refused as EnumerationTooLargeError.check refuses it
+    "zero-str-dim": (InvalidInputError, lambda: Vector.zero(F3, "2")),
+    "zero-bool-dim": (InvalidInputError, lambda: Vector.zero(F3, True)),
+    "identity-str-dim": (InvalidInputError, lambda: AxialIsometry.identity(F3, "1")),
+    "identity-bool-dim": (InvalidInputError, lambda: AxialIsometry.identity(F3, True)),
+    "count-str-q": (InvalidInputError, lambda: axial_isometry_count("3", 1)),
+    "count-bool-q": (InvalidInputError, lambda: axial_isometry_count(True, 1)),
+    "count-float-n": (InvalidInputError, lambda: axial_isometry_count(3, 1.5)),
+    "count-int-centred": (InvalidInputError, lambda: axial_isometry_count(3, 1, 1)),
+    "count-negative-q": (InvalidInputError, lambda: axial_isometry_count(-1, 1)),
+    "count-zero-n": (InvalidInputError, lambda: axial_isometry_count(3, 0)),
+    "uniqueness-str-d1": (InvalidInputError, lambda: uniqueness_check(
+        v(Q3, 0, 0), v(Q3, 1, 1), "1", 0)),
+    "uniqueness-bool-d2": (InvalidInputError, lambda: uniqueness_check(
+        v(Q3, 0, 0), v(Q3, 1, 1), Fraction(1), True)),
 }
 
 
@@ -239,6 +268,20 @@ NAMED["enumerate-int-centred"] = "centred flag must be a bool, got int"
 NAMED["segment-str-cap"] = NAMED["enumerate-str-cap"] = "cap must be an int, got str"
 NAMED["enumerate-str-q"] = "size base must be an int, got str"
 NAMED["betweenness-str-n"] = "size exponent must be an int, got str"
+NAMED["table-residues-str-images"] = "residue images must be a list or tuple, got str"
+NAMED.update({key: "field must be a FieldSpec, got str" for key in (
+    "random-scalar-str-field", "random-vector-str-field", "axiom-samples-str-field",
+    "grid-str-field", "identity-str-field")})
+NAMED["zero-str-dim"] = NAMED["identity-str-dim"] = "dimension must be an int, got str"
+NAMED["zero-bool-dim"] = NAMED["identity-bool-dim"] = "dimension must be an int, got bool"
+NAMED["count-str-q"] = "field size must be an int, got str"
+NAMED["count-bool-q"] = "field size must be an int, got bool"
+NAMED["count-float-n"] = "dimension must be an int, got float"
+NAMED["count-int-centred"] = NAMED["enumerate-int-centred"]
+NAMED["count-negative-q"] = "q and n must be at least 1, got q=-1, n=1"
+NAMED["count-zero-n"] = "q and n must be at least 1, got q=3, n=0"
+NAMED["uniqueness-str-d1"] = "distance d1 must be an int or Fraction, got str"
+NAMED["uniqueness-bool-d2"] = "distance d2 must be an int or Fraction, got bool"
 
 
 @pytest.mark.parametrize("key", NAMED)

@@ -28,8 +28,8 @@ from ultranorm import (
     verify_isometry,
 )
 from ultranorm.errors import WITNESS_LIMIT
-from ultranorm.sampling import random_axial_isometry
 
+from gen import random_axial_isometry
 from naive import metric_between, one_norm, padic_abs, sup_norm, trivial_abs, weighted_sup_norm
 
 FIELDS = ["padic:2", "padic:3", "padic:5", "gf:5", "trivial:q"]

@@ -32,7 +32,9 @@ from ultranorm import (
     verify_isometry,
 )
 from ultranorm.errors import OutsideDomainError
-from ultranorm.sampling import probe_grid, random_axial_isometry, random_vector
+from ultranorm.sampling import random_vector
+
+from gen import probe_grid, random_axial_isometry
 
 Q3 = FieldSpec.parse("padic:3")
 F2 = FieldSpec.parse("gf:2")

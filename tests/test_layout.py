@@ -9,7 +9,10 @@ value and report class is slotted: its instances carry no `__dict__`.  Only
 one clock.  Only `__main__.py` runs the CLI when executed: `python -m ultranorm`
 and the `ultranorm` console script are its two ways in.  Only `fields.py`
 calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
-one integer kernel, `fields._exponent`.
+one integer kernel, `fields._exponent`.  Every public function and class is
+used elsewhere in the package or exported: test-only helpers live in
+`tests/gen.py`, and the oracles in `tests/naive.py` import neither the
+package nor `gen`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
+import ultranorm
 from ultranorm import errors
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ultranorm"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ultranorm"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -117,6 +122,48 @@ def test_fields_reads_integer_ratios():
     tree = ast.parse((PACKAGE / "fields.py").read_text(encoding="utf-8"))
     assert any(isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
                for node in ast.walk(tree))
+
+
+def _referenced_names(nodes):
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name.rsplit(".", 1)[-1]
+
+
+def unused_public_names(package: Path, exported) -> list[str]:
+    """Public module-level functions and classes that no other top-level
+    statement of the package names (as a name, an attribute or an import)
+    and that `exported` does not list."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            others = [stmt for other, t in trees.items() for stmt in t.body
+                      if not (other == module and stmt is node)]
+            if node.name not in exported and node.name not in _referenced_names(others):
+                unused.append(f"{module[:-3]}.{node.name}")
+    return unused
+
+
+def test_every_public_name_is_used_in_the_package_or_exported():
+    assert unused_public_names(PACKAGE, ultranorm.__all__) == [], \
+        "unused public names; test-only helpers belong in tests/gen.py"
+
+
+def test_the_naive_oracles_import_neither_the_package_nor_gen():
+    tree = ast.parse((TESTS / "naive.py").read_text(encoding="utf-8"))
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+    assert not [name for name in imported if name.split(".")[0] in ("ultranorm", "gen")]
 
 
 def _instances():

@@ -44,8 +44,8 @@ from ultranorm import (
     verify_isometry,
 )
 from ultranorm.cli import main
-from ultranorm.sampling import probe_grid
 
+from gen import probe_grid
 from naive import metric_between, one_norm, padic_abs, sup_norm, trivial_abs
 
 # Reporting a failure imports libcst, which warns on import; without this

@@ -5,14 +5,9 @@ import random
 import pytest
 
 from ultranorm import FieldSpec, valuation
-from ultranorm.sampling import (
-    grid_from_values,
-    norm_axiom_samples,
-    probe_grid,
-    random_axial_isometry,
-    random_scalar,
-    random_vector,
-)
+from ultranorm.sampling import grid_from_values, norm_axiom_samples, random_scalar, random_vector
+
+from gen import probe_grid, random_axial_isometry
 
 Q3 = FieldSpec.parse("padic:3")
 F5 = FieldSpec.parse("gf:5")
