@@ -141,6 +141,11 @@ class TableMap(_Immutable):
     @classmethod
     def from_pairs(cls, field: FieldSpec, pairs) -> "TableMap":
         require_type("field", field, FieldSpec)
+        require_type("table pairs", pairs, list, tuple)
+        for pair in pairs:
+            require_type("table entry", pair, list, tuple)
+            if len(pair) != 2:
+                raise InvalidInputError(f"table entry must be a pair, got {len(pair)} items")
         return cls(tuple((field.scalar(a), field.scalar(b)) for a, b in pairs))
 
     @property
@@ -341,14 +346,27 @@ class AxialIsometry(_Immutable):
                    Vector.make(field, obj["translation"]))
 
 
+def _refuse_foreign_points(first: Vector, points) -> None:
+    """Refuse any of `points` that is not a Vector of first's field and dimension."""
+    fld, n = first.field, len(first.coords)
+    for v in points:
+        if type(v) is not Vector or v.field is not fld or len(v.coords) != n:   # the fast test
+            require_type("probe map point", v, Vector)
+            first._check(v)
+
+
 class ProbeMap(_Immutable):
     """A black-box map sampled on finitely many points.
 
     `complete` asserts the domain is the whole (finite) space; it is what
-    licenses surjectivity checks.
+    licenses surjectivity checks.  `_positions`, the positions of the origin
+    and of each axis's probes that `decompose` reads, is kept per domain:
+    `_with_images` builds a map on the same domain tuple, checks only its
+    images and hands the positions on.  `image_of` builds its lookup on
+    first use.
     """
 
-    __slots__ = ("domain", "images", "complete", "_lookup")
+    __slots__ = ("domain", "images", "complete", "_lookup", "_axes")
 
     def __init__(self, domain: tuple[Vector, ...], images: tuple[Vector, ...],
                  complete: bool = False):
@@ -360,14 +378,10 @@ class ProbeMap(_Immutable):
         if len(domain) != len(images):
             raise InvalidInputError(f"{len(domain)} domain points vs {len(images)} images")
         require_type("probe map point", domain[0], Vector)
-        fld, n = domain[0].field, domain[0].dim
-        for v in itertools.chain(domain, images):
-            if type(v) is not Vector or v.field is not fld or len(v.coords) != n:   # the fast test
-                require_type("probe map point", v, Vector)
-                domain[0]._check(v)
-        lookup = dict(zip(domain, images))
-        if len(lookup) != len(domain):
+        _refuse_foreign_points(domain[0], itertools.chain(domain, images))
+        if len(set(domain)) != len(domain):
             raise InvalidInputError("duplicate probe points")
+        fld, n = domain[0].field, domain[0].dim
         if complete:
             if fld.kind != GF:
                 raise InvalidInputError("complete probe maps exist only over finite fields")
@@ -377,7 +391,34 @@ class ProbeMap(_Immutable):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "_lookup", lookup)
+
+    def _with_images(self, images: tuple[Vector, ...]) -> "ProbeMap":
+        """This domain and `complete` flag with other images, checked as `__init__`
+        checks them; the domain's checks are not repeated and its positions are kept."""
+        require_type("probe map images", images, tuple)
+        if len(images) != len(self.domain):
+            raise InvalidInputError(f"{len(self.domain)} domain points vs {len(images)} images")
+        _refuse_foreign_points(self.domain[0], images)
+        sibling = object.__new__(ProbeMap)
+        for name, value in (("domain", self.domain), ("images", images),
+                            ("complete", self.complete), ("_axes", self._positions())):
+            object.__setattr__(sibling, name, value)
+        return sibling
+
+    def _positions(self) -> tuple:
+        """(origin, axes), kept: the origin's position in the domain (None when it
+        is missing) and, per axis i, the positions of the domain's nonzero points
+        on axis i, in domain order."""
+        if not hasattr(self, "_axes"):
+            n, origin, axes = self.dim, None, [[] for _ in range(self.dim)]
+            for k, x in enumerate(self.domain):
+                zeros = x._raw_values().count(0)
+                if zeros == n:
+                    origin = k
+                elif zeros == n - 1:
+                    axes[next(i for i, c in enumerate(x._raw_values()) if c)].append(k)
+            object.__setattr__(self, "_axes", (origin, tuple(map(tuple, axes))))
+        return self._axes
 
     @classmethod
     def from_isometry(cls, iso: AxialIsometry, points, complete: bool = False) -> "ProbeMap":
@@ -395,6 +436,8 @@ class ProbeMap(_Immutable):
 
     def image_of(self, x: Vector) -> Vector:
         self.domain[0]._check(x)
+        if not hasattr(self, "_lookup"):
+            object.__setattr__(self, "_lookup", dict(zip(self.domain, self.images)))
         try:
             return self._lookup[x]
         except KeyError:
@@ -553,29 +596,26 @@ def _fit_tau(field: FieldSpec, entries: list[tuple], axis: int) -> ScalarIsometr
 def decompose(m: ProbeMap) -> AxialIsometry:
     """Recover the axial form of a taxicab isometry from its probe table.
 
-    One pass over the (probe, image) pairs finds the origin's image t and
-    the axis probes.  Each axis probe's image differs from t on one axis,
-    which gives the axis-to-axis assignment; each scalar isometry is fitted
-    from its axis data; every probe is replayed through the candidate.  A
-    probe inconsistent with any axial form raises DecompositionError carrying
-    that probe; axes without usable probes raise UnderdeterminedError.
-    All three steps compare raw values (`Vector._raw_values`); Scalars are
-    built only for the returned taus and for a failure's witness and message.
+    The origin's image t and the axis probes are read by position from
+    `m._positions()`, found in one pass over the domain and kept for it, so
+    maps on one domain tuple share that pass.  Each axis probe's image
+    differs from t on one axis, which gives the axis-to-axis assignment;
+    each scalar isometry is fitted from its axis data; every probe is
+    replayed through the candidate.  A probe inconsistent with any axial
+    form raises DecompositionError carrying that probe; axes without usable
+    probes raise UnderdeterminedError.  All three steps compare raw values
+    (`Vector._raw_values`); Scalars are built only for the returned taus and
+    for a failure's witness and message.
     """
     require_type("probe map", m, ProbeMap)
     field, n = m.field, m.dim
     q = field.prime if field.kind == GF else None
-    t = None
-    axis_pairs: list[list[tuple[Vector, Vector]]] = [[] for _ in range(n)]
-    for x, img in zip(m.domain, m.images):
-        zeros = x._raw_values().count(0)
-        if zeros == n:
-            t = img
-        elif zeros == n - 1:
-            axis_pairs[next(i for i, c in enumerate(x._raw_values()) if c)].append((x, img))
-    if t is None:
+    origin, axes = m._positions()
+    if origin is None:
         raise InvalidInputError("probe domain must contain the origin")
+    t = m.images[origin]
     t_raw = t._raw_values()
+    axis_pairs = [[(m.domain[k], m.images[k]) for k in ks] for ks in axes]
 
     def failure(message: str, probe: Vector, image: Vector) -> DecompositionError:
         return DecompositionError(message, witness=(probe, image))

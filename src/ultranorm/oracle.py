@@ -45,7 +45,7 @@ class EnumerationResult:
     """Outcome of a full isometry search over F_q^n."""
 
     __slots__ = ("q", "n", "norm", "centred", "points", "isometries", "attempts", "axial",
-                 "non_axial_witnesses")
+                 "non_axial_witnesses", "_identity")
 
     def __init__(self, q: int, n: int, norm: NormSpec, centred: bool,
                  points: tuple[Vector, ...], isometries: tuple[tuple[int, ...], ...],
@@ -68,7 +68,10 @@ class EnumerationResult:
         return self.count == self.formula
 
     def probe_map(self, perm: tuple[int, ...]) -> ProbeMap:
-        return ProbeMap(self.points, tuple(self.points[i] for i in perm), complete=True)
+        """A sibling of one identity map over `points`, so the maps share its checks."""
+        if not hasattr(self, "_identity"):
+            self._identity = ProbeMap(self.points, self.points, complete=True)
+        return self._identity._with_images(tuple(self.points[i] for i in perm))
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import DEFAULT_ENUM_CAP, EnumerationTooLargeError, require_type
+from .errors import DEFAULT_ENUM_CAP, EnumerationTooLargeError, InvalidInputError, require_type
 from .fields import GF, PADIC, FieldSpec, Scalar
 from .spaces import Vector
 
@@ -23,6 +23,8 @@ def random_scalar(field: FieldSpec, rng: random.Random,
     numerator and denominator coprime to p).  Other p-adic values carry a
     factor p**e with e drawn from -3..3."""
     require_type("field", field, FieldSpec)
+    if not isinstance(rng, random.Random):   # a subclass draws as well
+        raise InvalidInputError(f"rng must be a random.Random, got {type(rng).__name__}")
     if field.kind == GF:
         lo = 1 if (nonzero or unit) else 0
         return Scalar(field, rng.randrange(lo, field.prime))
@@ -43,6 +45,7 @@ def random_scalar(field: FieldSpec, rng: random.Random,
 
 def random_vector(field: FieldSpec, n: int, rng: random.Random) -> Vector:
     require_type("field", field, FieldSpec)
+    require_type("dimension", n, int)
     return Vector(field, tuple(random_scalar(field, rng) for _ in range(n)))
 
 
@@ -52,6 +55,7 @@ def norm_axiom_samples(field: FieldSpec, n: int, count: int,
     share a valuation profile (y = coordinatewise unit multiple of x) so the
     absoluteness check exercises its equality branch."""
     require_type("field", field, FieldSpec)
+    require_type("sample count", count, int)
     triples = []
     for _ in range(count):
         x = random_vector(field, n, rng)
@@ -69,6 +73,7 @@ def grid_from_values(field: FieldSpec, n: int, values) -> list[Vector]:
     `values`, in lexicographic order over the given value order.  Capped
     like a segment at DEFAULT_ENUM_CAP points."""
     require_type("field", field, FieldSpec)
+    require_type("grid values", values, list, tuple)
     EnumerationTooLargeError.check(len(values), n, DEFAULT_ENUM_CAP,
                                    f"{len(values)} values in {n} dimensions")
     scalars = [field.scalar(v) for v in values]

@@ -76,6 +76,7 @@ class Vector(_Immutable):
 
     @classmethod
     def make(cls, field: FieldSpec, values) -> "Vector":
+        require_type("vector field", field, FieldSpec)
         return cls(field, tuple(field.scalar(v) for v in values))
 
     @classmethod

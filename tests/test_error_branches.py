@@ -236,7 +236,35 @@ CASES = {
         v(Q3, 0, 0), v(Q3, 1, 1), "1", 0)),
     "uniqueness-bool-d2": (InvalidInputError, lambda: uniqueness_check(
         v(Q3, 0, 0), v(Q3, 1, 1), Fraction(1), True)),
+    # a probe map on a kept domain checks its images as the constructor does
+    "with-images-list": (InvalidInputError, lambda: _identity_f3()._with_images([])),
+    "with-images-short": (InvalidInputError,
+                          lambda: _identity_f3()._with_images((v(F3, 0),))),
+    "with-images-foreign-field": (FieldMismatchError, lambda: _identity_f3()._with_images(
+        (v(F5, 0),) * 3)),
+    "with-images-wrong-dim": (DimensionMismatchError, lambda: _identity_f3()._with_images(
+        (v(F3, 0, 0),) * 3)),
+    "with-images-int-point": (InvalidInputError,
+                              lambda: _identity_f3()._with_images((0, 1, 2))),
+    # a field, list, count or random source of the wrong class, not a bare Python error
+    "grid-str-values": (InvalidInputError, lambda: grid_from_values(F3, 2, "012")),
+    "zero-str-field": (InvalidInputError, lambda: Vector.zero("gf:3", 2)),
+    "make-str-field": (InvalidInputError, lambda: Vector.make("gf:3", [1])),
+    "table-pairs-str-pairs": (InvalidInputError, lambda: TableMap.from_pairs(F3, "01")),
+    "table-pairs-str-entry": (InvalidInputError, lambda: TableMap.from_pairs(F3, ["01"])),
+    "table-pairs-triple-entry": (InvalidInputError,
+                                 lambda: TableMap.from_pairs(F3, [(0, 1, 2)])),
+    "random-vector-str-dim": (InvalidInputError,
+                              lambda: random_vector(F3, "2", random.Random(1))),
+    "axiom-samples-str-count": (InvalidInputError,
+                                lambda: norm_axiom_samples(F3, 2, "3", random.Random(1))),
+    "random-scalar-int-rng": (InvalidInputError, lambda: random_scalar(F3, 3)),
 }
+
+
+def _identity_f3() -> ProbeMap:
+    points = tuple(enumerate_space(F3, 1))
+    return ProbeMap(points, points, complete=True)
 
 
 @pytest.mark.parametrize("expected, build", CASES.values(), ids=CASES.keys())
@@ -282,6 +310,17 @@ NAMED["count-negative-q"] = "q and n must be at least 1, got q=-1, n=1"
 NAMED["count-zero-n"] = "q and n must be at least 1, got q=3, n=0"
 NAMED["uniqueness-str-d1"] = "distance d1 must be an int or Fraction, got str"
 NAMED["uniqueness-bool-d2"] = "distance d2 must be an int or Fraction, got bool"
+NAMED["with-images-list"] = "probe map images must be a tuple, got list"
+NAMED["with-images-short"] = "3 domain points vs 1 images"
+NAMED["with-images-int-point"] = "probe map point must be a Vector, got int"
+NAMED["grid-str-values"] = "grid values must be a list or tuple, got str"
+NAMED["zero-str-field"] = NAMED["make-str-field"] = "vector field must be a FieldSpec, got str"
+NAMED["table-pairs-str-pairs"] = "table pairs must be a list or tuple, got str"
+NAMED["table-pairs-str-entry"] = "table entry must be a list or tuple, got str"
+NAMED["table-pairs-triple-entry"] = "table entry must be a pair, got 3 items"
+NAMED["random-vector-str-dim"] = "dimension must be an int, got str"
+NAMED["axiom-samples-str-count"] = "sample count must be an int, got str"
+NAMED["random-scalar-int-rng"] = "rng must be a random.Random, got int"
 
 
 @pytest.mark.parametrize("key", NAMED)
