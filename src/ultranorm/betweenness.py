@@ -24,8 +24,11 @@ _ONE = NormSpec.one()
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
-    """Exact test of ||x - y||_1 = ||x - z||_1 + ||y - z||_1."""
-    return distance(x, y, _ONE) == distance(x, z, _ONE) + distance(y, z, _ONE)
+    """Exact test of ||x - y||_1 = ||x - z||_1 + ||y - z||_1, in integers:
+    the three distances' numerators are cross-multiplied by their denominators."""
+    d, a, b = distance(x, y, _ONE), distance(x, z, _ONE), distance(y, z, _ONE)
+    return (d.numerator * a.denominator * b.denominator
+            == (a.numerator * b.denominator + b.numerator * a.denominator) * d.denominator)
 
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:

@@ -10,6 +10,10 @@ Rationals are stored as exact ``fractions.Fraction`` values (a dense subfield
 of the p-adic completion, enough for every exact-distance statement this
 package makes); finite-field elements are residues in [0, q).  Valuation and
 norm values are exact nonnegative rationals, never floats.
+
+Every exponent e with |a - b| = p**e comes from integers in one place,
+`_exponent`.  Each scalar keeps its own e = `_exponent(a, 0)` once it is
+asked for, so `valuation` and the norm keys compute it once per scalar.
 """
 
 from __future__ import annotations
@@ -196,10 +200,11 @@ class Scalar(_Immutable):
     int residue in [0, q) for F_q.  The constructor normalises every value:
     an int or a Fraction (over F_q an integral one) is converted or reduced,
     any other type (float, bool, str, ...) is a ParseError.  Instances are
-    immutable and hashable.
+    immutable and hashable; e with |a| = p**e (None at zero) is computed on
+    first use and kept (`_abs_exponent`).
     """
 
-    __slots__ = ("field", "value")
+    __slots__ = ("field", "value", "_e")
 
     def __init__(self, field: FieldSpec, value):
         kind = type(value)
@@ -260,6 +265,14 @@ class Scalar(_Immutable):
     def is_zero(self) -> bool:
         return self.value == 0
 
+    def _abs_exponent(self) -> int | None:
+        """`_exponent(value, 0, p)`: e with |self| = p**e, None at zero; kept."""
+        try:
+            return self._e
+        except AttributeError:
+            object.__setattr__(self, "_e", _exponent(self.value, 0, self.field._p))
+            return self._e
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -288,14 +301,14 @@ def _exponent(a, b, p: int) -> int | None:
 
 
 def valuation(a: Scalar) -> Magnitude:
-    """|a| as an exact nonnegative rational: p**e with e = `_exponent(a, 0)`
-    over padic:p, 1 for nonzero a over gf:q and trivial:q, and 0 at zero.
+    """|a| as an exact nonnegative rational: p**e with e = a's kept
+    `_exponent(a, 0)` over padic:p, 1 for nonzero a over gf:q and trivial:q,
+    and 0 at zero.
     """
     if type(a) is not Scalar:   # the fast test
         require_type("valuation operand", a, Scalar)
-    p = a.field._p
-    e = _exponent(a.value, 0, p)
-    return Fraction(0) if e is None else Fraction(p) ** e
+    e = a._abs_exponent()
+    return Fraction(0) if e is None else Fraction(a.field._p) ** e
 
 
 # -- axiom verification -------------------------------------------------------

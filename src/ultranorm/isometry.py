@@ -423,6 +423,7 @@ class ProbeMap(_Immutable):
     @classmethod
     def from_isometry(cls, iso: AxialIsometry, points, complete: bool = False) -> "ProbeMap":
         require_type("axial isometry", iso, AxialIsometry)
+        require_type("probe points", points, list, tuple)
         pts = tuple(points)
         return cls(pts, tuple(map(iso.apply, pts)), complete)
 

@@ -6,10 +6,12 @@ max_i w_i |x_i| with strictly positive rational weights.  The sup variants
 are ultrametric (strong triangle inequality); the taxicab norm is not once
 the dimension exceeds 1, which is the whole point of this package.
 
-Every norm is read off the exponents e_i, |x_i - y_i| = p**e_i, that
-`fields._exponent` takes from integers, as `valuation` does, and reduced
+Every norm is read off the exponents e_i, |x_i - y_i| = p**e_i, and reduced
 to an exact key that is equal exactly when the norms are
-(`_difference_key`).  `distance` and `norm` build one Fraction per result
+(`_difference_key`).  Over padic:p each scalar keeps its own exponent, and
+|x_i - y_i| = max(|x_i|, |y_i|) whenever |x_i| != |y_i| (the isosceles
+property), so only coordinates of equal |.| go through the integer formula
+of `fields._exponent`.  `distance` and `norm` build one Fraction per result
 from the key; callers that only compare norms compare keys and build none.
 """
 
@@ -87,6 +89,7 @@ class Vector(_Immutable):
     @classmethod
     def parse(cls, field: FieldSpec, text: str) -> "Vector":
         """Parse the comma-separated form, e.g. "9,1/3"."""
+        require_type("vector literal", text, str)
         parts = text.split(",")
         if not any(p.strip() for p in parts):
             raise ParseError(f"empty vector literal {quoted(text)}")
@@ -205,7 +208,8 @@ def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
 
 def _difference_key(x: Vector, ys, spec: NormSpec):
     """An exact key of ||x - y|| from the exponents e_i = `_exponent(x_i, y_i)`,
-    equal exactly when the norms are; None when x = y.
+    equal exactly when the norms are; None when x = y.  Where the kept
+    exponents of x_i and y_i differ, e_i is the larger one.
 
     The one-norm's key is (total, lo), worth total * p**lo, with p not
     dividing total when p > 1; the sup norm's is the largest e; the
@@ -218,7 +222,12 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     exps = {}   # coordinate index -> e, where a != b
     for i, (a, b) in enumerate(zip(x.coords, ys)):
         if a is not b:   # segment points share their endpoints' scalars
-            e = _exponent(a.value, b.value, p)
+            if p == 1:   # every nonzero value has e = 0: the kept e decide nothing
+                e = _exponent(a.value, b.value, 1)
+            elif (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
+                e = eb if ea is None else ea if eb is None else max(ea, eb)   # isosceles
+            else:
+                e = None if ea is None else _exponent(a.value, b.value, p)
             if e is not None:
                 exps[i] = e
     if not exps:

@@ -259,6 +259,9 @@ CASES = {
     "axiom-samples-str-count": (InvalidInputError,
                                 lambda: norm_axiom_samples(F3, 2, "3", random.Random(1))),
     "random-scalar-int-rng": (InvalidInputError, lambda: random_scalar(F3, 3)),
+    "parse-int-text": (InvalidInputError, lambda: Vector.parse(F3, 5)),
+    "probe-from-int-points": (InvalidInputError, lambda: ProbeMap.from_isometry(
+        AxialIsometry.identity(F3, 1), 5)),
 }
 
 
@@ -321,6 +324,8 @@ NAMED["table-pairs-triple-entry"] = "table entry must be a pair, got 3 items"
 NAMED["random-vector-str-dim"] = "dimension must be an int, got str"
 NAMED["axiom-samples-str-count"] = "sample count must be an int, got str"
 NAMED["random-scalar-int-rng"] = "rng must be a random.Random, got int"
+NAMED["parse-int-text"] = "vector literal must be a str, got int"
+NAMED["probe-from-int-points"] = "probe points must be a list or tuple, got int"
 
 
 @pytest.mark.parametrize("key", NAMED)
