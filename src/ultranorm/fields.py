@@ -12,8 +12,8 @@ package makes); finite-field elements are residues in [0, q).  Valuation and
 norm values are exact nonnegative rationals, never floats.
 
 Every exponent e with |a - b| = p**e comes from integers in one place,
-`_exponent`.  Each scalar keeps its own e = `_exponent(a, 0)` once it is
-asked for, so `valuation` and the norm keys compute it once per scalar.
+`_exponent`.  Each scalar keeps its e = `_exponent(a, 0)` on first use, over
+every field, so `valuation` and the norm keys compute it once per scalar.
 """
 
 from __future__ import annotations
@@ -305,8 +305,7 @@ def valuation(a: Scalar) -> Magnitude:
     `_exponent(a, 0)` over padic:p, 1 for nonzero a over gf:q and trivial:q,
     and 0 at zero.
     """
-    if type(a) is not Scalar:   # the fast test
-        require_type("valuation operand", a, Scalar)
+    require_type("valuation operand", a, Scalar)
     e = a._abs_exponent()
     return Fraction(0) if e is None else Fraction(a.field._p) ** e
 

@@ -346,8 +346,14 @@ class AxialIsometry(_Immutable):
                    Vector.make(field, obj["translation"]))
 
 
-def _refuse_foreign_points(first: Vector, points) -> None:
-    """Refuse any of `points` that is not a Vector of first's field and dimension."""
+def _check_points(what: str, domain: tuple, points) -> None:
+    """Refuse `points` unless they are a tuple of one Vector per point of the
+    domain, each of the field and dimension of domain[0], itself a Vector."""
+    require_type(what, points, tuple)
+    if len(points) != len(domain):
+        raise InvalidInputError(f"{len(domain)} domain points vs {len(points)} images")
+    first = domain[0]
+    require_type("probe map point", first, Vector)
     fld, n = first.field, len(first.coords)
     for v in points:
         if type(v) is not Vector or v.field is not fld or len(v.coords) != n:   # the fast test
@@ -372,13 +378,9 @@ class ProbeMap(_Immutable):
                  complete: bool = False):
         if not domain:
             raise InvalidInputError("empty probe map")
-        require_type("probe map domain", domain, tuple)
-        require_type("probe map images", images, tuple)
+        _check_points("probe map domain", domain, domain)   # the domain passes its images' test
+        _check_points("probe map images", domain, images)
         require_type("probe map complete", complete, bool)
-        if len(domain) != len(images):
-            raise InvalidInputError(f"{len(domain)} domain points vs {len(images)} images")
-        require_type("probe map point", domain[0], Vector)
-        _refuse_foreign_points(domain[0], itertools.chain(domain, images))
         if len(set(domain)) != len(domain):
             raise InvalidInputError("duplicate probe points")
         fld, n = domain[0].field, domain[0].dim
@@ -395,10 +397,7 @@ class ProbeMap(_Immutable):
     def _with_images(self, images: tuple[Vector, ...]) -> "ProbeMap":
         """This domain and `complete` flag with other images, checked as `__init__`
         checks them; the domain's checks are not repeated and its positions are kept."""
-        require_type("probe map images", images, tuple)
-        if len(images) != len(self.domain):
-            raise InvalidInputError(f"{len(self.domain)} domain points vs {len(images)} images")
-        _refuse_foreign_points(self.domain[0], images)
+        _check_points("probe map images", self.domain, images)
         sibling = object.__new__(ProbeMap)
         for name, value in (("domain", self.domain), ("images", images),
                             ("complete", self.complete), ("_axes", self._positions())):
@@ -689,6 +688,7 @@ def sphere_shift_map(e0: Vector, v0: Vector, probes,
     """
     require_type("norm", spec, NormSpec)
     Vector._check(e0, v0)
+    require_type("probe points", probes, list, tuple)
     pts = tuple(probes)
     for x in pts:
         e0._check(x)

@@ -17,18 +17,17 @@ from .fields import GF, PADIC, FieldSpec, Scalar
 from .spaces import Vector
 
 
-def random_scalar(field: FieldSpec, rng: random.Random,
-                  nonzero: bool = False, unit: bool = False) -> Scalar:
-    """A random field element; `unit` forces valuation 1 (rational fields:
-    numerator and denominator coprime to p).  Other p-adic values carry a
-    factor p**e with e drawn from -3..3."""
+def random_scalar(field: FieldSpec, rng: random.Random, unit: bool = False) -> Scalar:
+    """A random field element, zero about one time in eight over the
+    rationals; `unit` forces valuation 1 (rational fields: numerator and
+    denominator coprime to p).  Other p-adic values carry a factor p**e with
+    e drawn from -3..3."""
     require_type("field", field, FieldSpec)
     if not isinstance(rng, random.Random):   # a subclass draws as well
         raise InvalidInputError(f"rng must be a random.Random, got {type(rng).__name__}")
     if field.kind == GF:
-        lo = 1 if (nonzero or unit) else 0
-        return Scalar(field, rng.randrange(lo, field.prime))
-    if not (nonzero or unit) and rng.random() < 0.125:
+        return Scalar(field, rng.randrange(1 if unit else 0, field.prime))
+    if not unit and rng.random() < 0.125:
         return field.zero
     p = field.prime if field.kind == PADIC else 0
     while True:

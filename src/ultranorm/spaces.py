@@ -8,11 +8,12 @@ the dimension exceeds 1, which is the whole point of this package.
 
 Every norm is read off the exponents e_i, |x_i - y_i| = p**e_i, and reduced
 to an exact key that is equal exactly when the norms are
-(`_difference_key`).  Over padic:p each scalar keeps its own exponent, and
+(`_difference_key`).  Each scalar keeps its own exponent, and
 |x_i - y_i| = max(|x_i|, |y_i|) whenever |x_i| != |y_i| (the isosceles
 property), so only coordinates of equal |.| go through the integer formula
-of `fields._exponent`.  `distance` and `norm` build one Fraction per result
-from the key; callers that only compare norms compare keys and build none.
+of `fields._exponent`: over gf:q and trivial:q, pairs of nonzero values.
+`distance` and `norm` build one Fraction per result from the key; callers
+that only compare norms compare keys and build none.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ WSUP = "wsup"
 
 
 class Vector(_Immutable):
-    """An n-tuple of scalars over a fixed field, n >= 1. Immutable; the hash
-    and the raw values (each coordinate's `Scalar.value`, an int residue or a
-    Fraction, which `decompose` compares) are computed on first use and kept."""
+    """An n-tuple of scalars over a fixed field, n >= 1. Immutable; the raw
+    values (each coordinate's `Scalar.value`, an int residue or a Fraction,
+    which `decompose` compares) are computed on first use and kept."""
 
-    __slots__ = ("field", "coords", "_hash", "_raw")
+    __slots__ = ("field", "coords", "_raw")
 
     def __init__(self, field: FieldSpec, coords: tuple[Scalar, ...]):
         if type(coords) is not tuple or not coords:   # the fast test
@@ -62,12 +63,7 @@ class Vector(_Immutable):
         return self.field is other.field and self.coords == other.coords
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.field, self.coords))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.field, self.coords))
 
     def _raw_values(self) -> tuple:
         try:
@@ -193,8 +189,7 @@ class NormSpec(_Immutable):
 def norm(v: Vector, spec: NormSpec) -> Magnitude:
     """Exact norm value of v under spec: its distance from the origin."""
     Vector._check(v, v)   # refuses a v that is not a Vector
-    if type(spec) is not NormSpec:   # the fast test
-        require_type("norm", spec, NormSpec)
+    require_type("norm", spec, NormSpec)
     return _key_value(_difference_key(v, itertools.repeat(v.field.zero), spec), v.field._p, spec)
 
 
@@ -209,7 +204,9 @@ def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
 def _difference_key(x: Vector, ys, spec: NormSpec):
     """An exact key of ||x - y|| from the exponents e_i = `_exponent(x_i, y_i)`,
     equal exactly when the norms are; None when x = y.  Where the kept
-    exponents of x_i and y_i differ, e_i is the larger one.
+    exponents of x_i and y_i differ, e_i is the larger one, over every field:
+    over gf:q and trivial:q they are 0 or None, so only two nonzero
+    coordinates reach `_exponent`.
 
     The one-norm's key is (total, lo), worth total * p**lo, with p not
     dividing total when p > 1; the sup norm's is the largest e; the
@@ -222,9 +219,7 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     exps = {}   # coordinate index -> e, where a != b
     for i, (a, b) in enumerate(zip(x.coords, ys)):
         if a is not b:   # segment points share their endpoints' scalars
-            if p == 1:   # every nonzero value has e = 0: the kept e decide nothing
-                e = _exponent(a.value, b.value, 1)
-            elif (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
+            if (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
                 e = eb if ea is None else ea if eb is None else max(ea, eb)   # isosceles
             else:
                 e = None if ea is None else _exponent(a.value, b.value, p)
@@ -265,6 +260,7 @@ def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:
 def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
     """All q**n vectors of F_q^n in lexicographic coordinate order."""
     require_type("field", field, FieldSpec)
+    require_type("dimension", n, int)
     if field.kind != GF:
         raise InvalidInputError(f"cannot enumerate infinite space over {field}")
     if n < 1:

@@ -262,6 +262,12 @@ CASES = {
     "parse-int-text": (InvalidInputError, lambda: Vector.parse(F3, 5)),
     "probe-from-int-points": (InvalidInputError, lambda: ProbeMap.from_isometry(
         AxialIsometry.identity(F3, 1), 5)),
+    # a dimension that is not exactly an int, and probes that are not a list or tuple
+    "enumerate-space-bool-dim": (InvalidInputError, lambda: enumerate_space(F3, True)),
+    "enumerate-space-str-dim": (InvalidInputError, lambda: enumerate_space(F3, "2")),
+    "enumerate-space-float-dim": (InvalidInputError, lambda: enumerate_space(F3, 2.0)),
+    "sphere-shift-int-probes": (InvalidInputError,
+                                lambda: sphere_shift_map(v(Q3, 3), v(Q3, 1), 5)),
 }
 
 
@@ -326,6 +332,10 @@ NAMED["axiom-samples-str-count"] = "sample count must be an int, got str"
 NAMED["random-scalar-int-rng"] = "rng must be a random.Random, got int"
 NAMED["parse-int-text"] = "vector literal must be a str, got int"
 NAMED["probe-from-int-points"] = "probe points must be a list or tuple, got int"
+NAMED["enumerate-space-bool-dim"] = NAMED["zero-bool-dim"]
+NAMED["enumerate-space-str-dim"] = NAMED["zero-str-dim"]
+NAMED["enumerate-space-float-dim"] = "dimension must be an int, got float"
+NAMED["sphere-shift-int-probes"] = NAMED["probe-from-int-points"]
 
 
 @pytest.mark.parametrize("key", NAMED)

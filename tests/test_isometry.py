@@ -645,6 +645,19 @@ def test_frozen_classes_survive_pickle_and_copy(name, copier):
             back.complete = False
 
 
+@pytest.mark.parametrize("value, other", [
+    (NormSpec.one(), "one"),
+    (AffineMap(F5.one, F5.scalar(2)), TableMap.from_residues(F5, [2, 3, 4, 0, 1])),
+    (ProbeMap((_v(F2, "0"), _v(F2, "1")), (_v(F2, "1"), _v(F2, "0"))),
+     (_v(F2, "0"), _v(F2, "1"))),
+], ids=["norm-vs-str", "affine-vs-its-table", "probe-map-vs-tuple"])
+def test_a_value_compared_with_another_class_is_unequal(value, other):
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    assert all(value.apply(a) == b for a, b in getattr(other, "entries", ()))
+    assert (value == other) is False and (value != other) is True
+    assert (other == value) is False and (other != value) is True
+
+
 # -- raw values and tuple arguments ----------------------------------------------
 
 
