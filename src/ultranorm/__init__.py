@@ -44,7 +44,6 @@ from .isometry import (
     ProbeMap,
     TableMap,
     decompose,
-    scalar_isometry_from_json,
     sphere_shift_map,
     verify_isometry,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "is_metrically_between",
     "minimize_two_point",
     "norm",
-    "scalar_isometry_from_json",
     "segment",
     "sphere_shift_map",
     "uniqueness_check",

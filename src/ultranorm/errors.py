@@ -69,7 +69,7 @@ class InvalidInputError(UltranormError, ValueError):
 
 
 class OutsideDomainError(InvalidInputError, KeyError):
-    """A value or point lies outside a partial map's table or probe domain.
+    """A value lies outside a partial scalar table (`TableMap.apply`, `AxialIsometry.apply`).
 
     Also a KeyError, so callers that catch a failed lookup keep working; str()
     gives the plain message, not KeyError's quoted repr.

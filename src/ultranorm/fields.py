@@ -353,16 +353,26 @@ class AxiomReport:
         }
 
 
+def _check_samples(what: str, samples, size: int) -> None:
+    """Refuse `samples` unless it is a list or tuple of lists or tuples of `size` items."""
+    require_type(f"{what} samples", samples, list, tuple)
+    for sample in samples:
+        require_type(f"{what} sample", sample, list, tuple)
+        if len(sample) != size:
+            raise InvalidInputError(f"{what} sample must have {size} items, got {len(sample)}")
+
+
 def check_valuation_axioms(spec: FieldSpec, samples) -> AxiomReport:
     """Verify the valuation axioms on every sample pair.
 
-    ``samples`` is an iterable of (a, b) Scalar pairs from ``spec``.  Checked
+    ``samples`` is a list or tuple of (a, b) Scalar pairs from ``spec``.  Checked
     per pair: |ab| = |a||b|, the ultrametric bound |a+b| <= max(|a|, |b|),
     the isosceles refinement (equality whenever |a| != |b|), and per element
     that |a| = 0 exactly at a = 0.  All comparisons are exact.  A sample
     from another field than `spec` is refused as a field mismatch.
     """
     require_type("field", spec, FieldSpec)
+    _check_samples("valuation", samples, 2)
     report, zero = AxiomReport(subject=str(spec)), spec.zero
     for a, b in samples:
         zero._check(a)   # a + b checks b against a

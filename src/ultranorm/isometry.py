@@ -181,28 +181,6 @@ class TableMap(_Immutable):
 ScalarIsometry = AffineMap | TableMap
 
 
-def scalar_isometry_from_json(field: FieldSpec, obj) -> ScalarIsometry:
-    require_type("field", field, FieldSpec)
-    if not isinstance(obj, dict):
-        raise ParseError(f"bad scalar isometry object {quoted(obj)}")
-    if "affine" in obj:
-        coeffs = obj["affine"]
-        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 2):
-            raise ParseError(f"affine map needs [u, c], got {quoted(coeffs)}")
-        return AffineMap(field.scalar(coeffs[0]), field.scalar(coeffs[1]))
-    if "table" in obj:
-        table = obj["table"]
-        if not isinstance(table, (list, tuple)):
-            raise ParseError(f"scalar isometry table must be a list, got {quoted(table)}")
-        if field.kind == GF:
-            return TableMap.from_residues(field, table)
-        for entry in table:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ParseError(f"table entry must be a pair [a, b], got {quoted(entry)}")
-        return TableMap.from_pairs(field, table)
-    raise ParseError(f"scalar isometry needs 'affine' or 'table', got {quoted(sorted(obj))}")
-
-
 def _compose_scalar(outer: ScalarIsometry, inner: ScalarIsometry,
                     shift: Scalar) -> ScalarIsometry:
     """The scalar isometry a -> outer(inner(a) + shift), in closed form."""
@@ -329,22 +307,6 @@ class AxialIsometry(_Immutable):
             "translation": [str(c) for c in self.translation.coords],
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "AxialIsometry":
-        keys = ("field", "sigma", "taus", "translation")
-        if not (isinstance(obj, dict) and all(key in obj for key in keys)):
-            raise ParseError(f"bad axial isometry object (need {', '.join(keys)})")
-        field = FieldSpec.parse(obj["field"])
-        for key in keys[1:]:
-            if not isinstance(obj[key], (list, tuple)):
-                raise ParseError(f"axial isometry {key} must be a list, got {quoted(obj[key])}")
-        for s in obj["sigma"]:
-            if type(s) is not int:
-                raise ParseError(f"axial isometry sigma entry must be an integer, got {quoted(s)}")
-        return cls(tuple(obj["sigma"]),
-                   tuple(scalar_isometry_from_json(field, t) for t in obj["taus"]),
-                   Vector.make(field, obj["translation"]))
-
 
 def _check_points(what: str, domain: tuple, points) -> None:
     """Refuse `points` unless they are a tuple of one Vector per point of the
@@ -362,17 +324,16 @@ def _check_points(what: str, domain: tuple, points) -> None:
 
 
 class ProbeMap(_Immutable):
-    """A black-box map sampled on finitely many points.
+    """A black-box map sampled on finitely many points: images[k] is the image of domain[k].
 
     `complete` asserts the domain is the whole (finite) space; it is what
     licenses surjectivity checks.  `_positions`, the positions of the origin
     and of each axis's probes that `decompose` reads, is kept per domain:
     `_with_images` builds a map on the same domain tuple, checks only its
-    images and hands the positions on.  `image_of` builds its lookup on
-    first use.
+    images and hands the positions on.
     """
 
-    __slots__ = ("domain", "images", "complete", "_lookup", "_axes")
+    __slots__ = ("domain", "images", "complete", "_axes")
 
     def __init__(self, domain: tuple[Vector, ...], images: tuple[Vector, ...],
                  complete: bool = False):
@@ -433,15 +394,6 @@ class ProbeMap(_Immutable):
     @property
     def dim(self) -> int:
         return self.domain[0].dim
-
-    def image_of(self, x: Vector) -> Vector:
-        self.domain[0]._check(x)
-        if not hasattr(self, "_lookup"):
-            object.__setattr__(self, "_lookup", dict(zip(self.domain, self.images)))
-        try:
-            return self._lookup[x]
-        except KeyError:
-            raise OutsideDomainError(f"point {x} not in probe domain") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -617,9 +569,6 @@ def decompose(m: ProbeMap) -> AxialIsometry:
     t_raw = t._raw_values()
     axis_pairs = [[(m.domain[k], m.images[k]) for k in ks] for ks in axes]
 
-    def failure(message: str, probe: Vector, image: Vector) -> DecompositionError:
-        return DecompositionError(message, witness=(probe, image))
-
     # sigma[j] is the input axis that lands on output axis j
     sigma: list[int | None] = [None] * n
     tau_data: list[list[tuple]] = [[] for _ in range(n)]
@@ -630,17 +579,17 @@ def decompose(m: ProbeMap) -> AxialIsometry:
         for probe, image in pairs:
             moved = [j for j, (b, tj) in enumerate(zip(image._raw_values(), t_raw)) if b != tj]
             if len(moved) != 1:
-                raise failure(f"image of axis probe {probe} is not on a single axis",
-                              probe, image)
+                raise DecompositionError(
+                    f"image of axis probe {probe} is not on a single axis", witness=(probe, image))
             if target is None:
                 target = moved[0]
             elif moved[0] != target:
-                raise failure(f"axis {i} probes land on axes {target} and {moved[0]}",
-                              probe, image)
+                raise DecompositionError(
+                    f"axis {i} probes land on axes {target} and {moved[0]}", witness=(probe, image))
             tau_data[target].append(
                 (probe._raw_values()[i], image._raw_values()[target] - t_raw[target]))
         if sigma[target] is not None:
-            raise failure(f"two axes map onto axis {target}", *pairs[0])
+            raise DecompositionError(f"two axes map onto axis {target}", witness=pairs[0])
         sigma[target] = i
 
     taus = []
@@ -648,8 +597,8 @@ def decompose(m: ProbeMap) -> AxialIsometry:
         try:
             taus.append(_fit_tau(field, entries, axis=i))
         except InvalidInputError as exc:
-            raise failure(f"axis {i} data fits no scalar isometry: {exc}",
-                          *axis_pairs[i][0]) from None
+            raise DecompositionError(f"axis {i} data fits no scalar isometry: {exc}",
+                                     witness=axis_pairs[i][0]) from None
 
     candidate = AxialIsometry(tuple(sigma), tuple(taus), t)
     # output coordinate j of a probe is tau_j(x[sigma[j]]) + t_j: the whole table of a
@@ -670,8 +619,8 @@ def decompose(m: ProbeMap) -> AxialIsometry:
                 b = table[a] = tau.u.value * a + tj
             got.append(b)
         if tuple(got) != img._raw_values():
-            raise failure(f"probe {x} maps to {img}, axial reconstruction gives "
-                          f"{Vector.make(field, got)}", x, img)
+            raise DecompositionError(f"probe {x} maps to {img}, axial reconstruction gives "
+                                     f"{Vector.make(field, got)}", witness=(x, img))
     return candidate
 
 

@@ -29,8 +29,8 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _Immutable, _exponent,
-                     valuation)
+from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _check_samples, _Immutable,
+                     _exponent, valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -75,6 +75,7 @@ class Vector(_Immutable):
     @classmethod
     def make(cls, field: FieldSpec, values) -> "Vector":
         require_type("vector field", field, FieldSpec)
+        require_type("vector values", values, list, tuple)
         return cls(field, tuple(field.scalar(v) for v in values))
 
     @classmethod
@@ -279,6 +280,7 @@ def check_norm_axioms(spec: NormSpec, field: FieldSpec, samples) -> AxiomReport:
     """
     require_type("norm", spec, NormSpec)
     require_type("field", field, FieldSpec)
+    _check_samples("norm", samples, 3)
     report = AxiomReport(subject=f"{spec} over {field}")
     zero_mag, zero = Fraction(0), field.zero
     for x, y, lam in samples:

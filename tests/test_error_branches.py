@@ -39,7 +39,6 @@ from ultranorm import (
     group_closure_check,
     is_metrically_between,
     norm,
-    scalar_isometry_from_json,
     segment,
     sphere_shift_map,
     uniqueness_check,
@@ -90,8 +89,6 @@ CASES = {
                         lambda: TableMap(((s(Q3, 1), s(Q3, 1)), (s(Q3, 1), s(Q3, 2))))),
     "table-residues-rational": (InvalidInputError,
                                 lambda: TableMap.from_residues(Q3, [0, 1, 2])),
-    "scalar-iso-not-dict": (ParseError, lambda: scalar_isometry_from_json(Q3, [1, 0])),
-    "scalar-iso-no-key": (ParseError, lambda: scalar_isometry_from_json(Q3, {"slope": 1})),
     "vector-empty": (InvalidInputError, lambda: Vector(Q3, ())),
     "vector-foreign-coord": (FieldMismatchError, lambda: Vector(Q3, (s(Q5, 1),))),
     "vector-scale-field": (FieldMismatchError, lambda: v(Q3, 1, 2).scale(s(Q5, 2))),
@@ -164,12 +161,6 @@ CASES = {
     "decompose-int-map": (InvalidInputError, lambda: decompose(3)),
     "verify-int-map": (InvalidInputError, lambda: verify_isometry(3, NormSpec.one())),
     # a lookup refuses a foreign operand through _check, before the lookup
-    "image-of-int": (InvalidInputError,
-                     lambda: ProbeMap((v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(3)),
-    "image-of-foreign-field": (FieldMismatchError, lambda: ProbeMap(
-        (v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(v(F5, 0, 0))),
-    "image-of-wrong-dim": (DimensionMismatchError, lambda: ProbeMap(
-        (v(F3, 0, 0),), (v(F3, 0, 0),)).image_of(v(F3, 0, 0, 0))),
     "table-apply-foreign-field": (FieldMismatchError,
                                   lambda: TableMap.from_residues(F3, [0, 2, 1]).apply(F5.one)),
     # an axiom sweep checks its arguments before any sample, and every sample's field
@@ -193,8 +184,6 @@ CASES = {
     "table-residues-str-field": (InvalidInputError,
                                  lambda: TableMap.from_residues("gf:3", [0, 2, 1])),
     "table-pairs-str-field": (InvalidInputError, lambda: TableMap.from_pairs("gf:3", [(0, 1)])),
-    "scalar-iso-json-str-field": (InvalidInputError,
-                                  lambda: scalar_isometry_from_json("gf:3", {"table": [0, 2, 1]})),
     # an object argument of the wrong class, not an AttributeError
     "closure-str-result": (InvalidInputError, lambda: group_closure_check("x")),
     "probe-from-int-isometry": (InvalidInputError,
@@ -268,6 +257,19 @@ CASES = {
     "enumerate-space-float-dim": (InvalidInputError, lambda: enumerate_space(F3, 2.0)),
     "sphere-shift-int-probes": (InvalidInputError,
                                 lambda: sphere_shift_map(v(Q3, 3), v(Q3, 1), 5)),
+    # vector values and axiom samples that are not a list or tuple, and samples of the wrong size
+    "make-str-values": (InvalidInputError, lambda: Vector.make(F5, "12")),
+    "make-int-values": (InvalidInputError, lambda: Vector.make(F3, 5)),
+    "check-valuation-int-samples": (InvalidInputError, lambda: check_valuation_axioms(F3, 5)),
+    "check-axioms-int-samples": (InvalidInputError,
+                                 lambda: check_norm_axioms(NormSpec.one(), F3, 5)),
+    "check-valuation-int-sample": (InvalidInputError, lambda: check_valuation_axioms(F3, [3])),
+    "check-valuation-short-sample": (InvalidInputError,
+                                     lambda: check_valuation_axioms(F3, [(F3.one,)])),
+    "check-axioms-int-sample": (InvalidInputError,
+                                lambda: check_norm_axioms(NormSpec.one(), F3, [3])),
+    "check-axioms-short-sample": (InvalidInputError, lambda: check_norm_axioms(
+        NormSpec.one(), F3, [(v(F3, 1), v(F3, 2))])),
 }
 
 
@@ -288,7 +290,6 @@ NAMED = {key: "vector operand must be a Vector, got int"
 NAMED["scalar-norm-field"] = "scalar field must be a FieldSpec, got NormSpec"
 NAMED["uniqueness-int-second"] = NAMED["valuation-profile-int"] = NAMED["uniqueness-int-first"]
 NAMED["valuation-int"] = "valuation operand must be a Scalar, got int"
-NAMED["image-of-int"] = NAMED["norm-int-vector"]
 NAMED.update({key: "norm must be a NormSpec, got str" for key in CASES
               if key.endswith("-str-spec")})
 NAMED["distance-none-spec"] = "norm must be a NormSpec, got NoneType"
@@ -296,8 +297,7 @@ NAMED.update({key: "probe map must be a ProbeMap, got int" for key in CASES
               if key.endswith("-int-map")})
 NAMED.update({key: "field must be a FieldSpec, got str" for key in (
     "check-axioms-str-field", "check-valuation-str-field", "check-valuation-nonsense-field",
-    "enumerate-space-str-field", "table-residues-str-field", "table-pairs-str-field",
-    "scalar-iso-json-str-field")})
+    "enumerate-space-str-field", "table-residues-str-field", "table-pairs-str-field")})
 NAMED["closure-str-result"] = "enumeration result must be an EnumerationResult, got str"
 NAMED["probe-from-int-isometry"] = "axial isometry must be an AxialIsometry, got int"
 NAMED["compose-int-isometry"] = NAMED["probe-from-int-isometry"]
@@ -336,6 +336,14 @@ NAMED["enumerate-space-bool-dim"] = NAMED["zero-bool-dim"]
 NAMED["enumerate-space-str-dim"] = NAMED["zero-str-dim"]
 NAMED["enumerate-space-float-dim"] = "dimension must be an int, got float"
 NAMED["sphere-shift-int-probes"] = NAMED["probe-from-int-points"]
+NAMED["make-str-values"] = "vector values must be a list or tuple, got str"
+NAMED["make-int-values"] = "vector values must be a list or tuple, got int"
+NAMED["check-valuation-int-samples"] = "valuation samples must be a list or tuple, got int"
+NAMED["check-axioms-int-samples"] = "norm samples must be a list or tuple, got int"
+NAMED["check-valuation-int-sample"] = "valuation sample must be a list or tuple, got int"
+NAMED["check-valuation-short-sample"] = "valuation sample must have 2 items, got 1"
+NAMED["check-axioms-int-sample"] = "norm sample must be a list or tuple, got int"
+NAMED["check-axioms-short-sample"] = "norm sample must have 3 items, got 2"
 
 
 @pytest.mark.parametrize("key", NAMED)

@@ -17,7 +17,6 @@ from ultranorm import (
     HypothesisError,
     InvalidInputError,
     NormSpec,
-    ParseError,
     ProbeMap,
     TableMap,
     UltranormError,
@@ -26,7 +25,6 @@ from ultranorm import (
     decompose,
     distance,
     enumerate_space,
-    scalar_isometry_from_json,
     sphere_shift_map,
     valuation,
     verify_isometry,
@@ -95,34 +93,6 @@ def test_rational_table_map_checks_distances():
         tau.apply(Q3.scalar(7))
 
 
-def test_scalar_isometry_json_round_trip():
-    affine = AffineMap(Q3.scalar(-2), Q3.scalar(Fraction(1, 3)))
-    assert scalar_isometry_from_json(Q3, affine.to_json_dict()) == affine
-    table = TableMap.from_residues(F5, [4, 3, 2, 1, 0])
-    assert scalar_isometry_from_json(F5, table.to_json_dict()) == table
-
-
-def test_scalar_isometry_json_takes_exact_numbers():
-    assert scalar_isometry_from_json(Q3, {"affine": [-2, "1/3"]}) == AffineMap(
-        Q3.scalar(-2), Q3.scalar(Fraction(1, 3)))
-    table = TableMap.from_pairs(Q3, [(0, 0), (1, 2)])
-    assert scalar_isometry_from_json(Q3, {"table": [[0, 0], ["1", 2]]}) == table
-
-
-@pytest.mark.parametrize("field, obj, named", [
-    (F5, {"table": 5}, "5"),
-    (Q3, {"table": [[1, 2, 3]]}, "[1, 2, 3]"),
-    (Q3, {"affine": ["1"]}, "['1']"),
-    (Q3, {"affine": [0.5, "0"]}, "0.5"),
-    (F5, {"table": [0, 1, 2, 3, 4.0]}, "4.0"),
-], ids=["table-a-number", "table-entry-a-triple", "affine-one-coefficient",
-        "affine-a-float", "residue-a-float"])
-def test_scalar_isometry_json_errors_are_parse_errors(field, obj, named):
-    with pytest.raises(ParseError) as err:
-        scalar_isometry_from_json(field, obj)
-    assert named in str(err.value)
-
-
 # -- axial isometries ----------------------------------------------------------
 
 
@@ -183,40 +153,6 @@ def test_inverse_is_two_sided():
                 assert f.apply(inv.apply(x)) == x
 
 
-def test_axial_isometry_json_round_trip():
-    rng = random.Random(34)
-    for field, n in ((Q3, 3), (F5, 2)):
-        for _ in range(10):
-            iso = random_axial_isometry(field, n, rng)
-            back = AxialIsometry.from_json(iso.to_json_dict())
-            for _ in range(6):
-                x = random_vector(field, n, rng)
-                assert back.apply(x) == iso.apply(x)
-
-
-@pytest.mark.parametrize("change, named", [
-    ({"sigma": [1.7, 0]}, "1.7"),
-    ({"sigma": [True, 0]}, "True"),
-    ({"sigma": "10"}, "'10'"),
-    ({"translation": "12"}, "'12'"),
-    ({"taus": {"affine": ["1", "0"]}}, "{'affine': ['1', '0']}"),
-], ids=["sigma-a-float", "sigma-a-bool", "sigma-a-string", "translation-a-string",
-        "taus-an-object"])
-def test_axial_isometry_json_errors_name_the_value(change, named):
-    obj = {**AxialIsometry.identity(Q3, 2).to_json_dict(), **change}
-    with pytest.raises(ParseError) as err:
-        AxialIsometry.from_json(obj)
-    assert named in str(err.value)
-
-
-@pytest.mark.parametrize("obj", [None, [], {"field": "padic:3", "sigma": [0]}],
-                         ids=["null", "a-list", "missing-keys"])
-def test_axial_isometry_json_needs_an_object_with_all_keys(obj):
-    with pytest.raises(ParseError) as err:
-        AxialIsometry.from_json(obj)
-    assert "need field, sigma, taus, translation" in str(err.value)
-
-
 def test_sigma_must_be_permutation():
     taus = (AffineMap(Q3.one, Q3.zero), AffineMap(Q3.one, Q3.zero))
     with pytest.raises(ValueError):
@@ -248,7 +184,7 @@ def test_probe_map_json_round_trip():
     pm = ProbeMap.from_isometry(iso, probe_grid(Q3, 2, 12))
     back = ProbeMap.from_json(pm.to_json_dict())
     assert back == pm
-    assert back.image_of(pm.domain[3]) == pm.images[3]
+    assert dict(zip(back.domain, back.images))[pm.domain[3]] == pm.images[3]
 
 
 def test_probe_map_json_takes_integer_coordinates():
@@ -468,13 +404,6 @@ def test_apply_outside_a_partial_table_is_a_typed_error():
         iso.apply(_v(Q3, "2/3"))
 
 
-def test_image_of_a_point_outside_the_probe_domain_is_a_typed_error():
-    pm = _probe_map(Q3, [("0,0", "0,0"), ("1,0", "1,0")])
-    with pytest.raises(OutsideDomainError, match="^point 0,1 not in probe domain$") as err:
-        pm.image_of(_v(Q3, "0,1"))
-    assert isinstance(err.value, InvalidInputError)
-
-
 # -- a lookup refuses a foreign operand through _check, before the lookup ----------
 
 
@@ -506,19 +435,6 @@ def test_table_apply_refuses_a_foreign_operand_as_affine_apply_does(table, stran
     assert _refusal(lambda: table.apply(stranger)) == expected
 
 
-@pytest.mark.parametrize("point, error, message", [
-    (3, InvalidInputError, "vector operand must be a Vector, got int"),
-    (Vector.make(F5, [0, 1]), FieldMismatchError, "mixing gf:3 with gf:5"),
-    (Vector.make(FieldSpec.gf(3), [0, 1, 0]), DimensionMismatchError, "dimension 2 vs 3"),
-    (Vector.make(FieldSpec.gf(3), [0, 1]), OutsideDomainError, "point 0,1 not in probe domain"),
-], ids=["int", "field", "dimension", "missing"])
-def test_image_of_refuses_a_foreign_point_before_the_lookup(point, error, message):
-    f3 = FieldSpec.gf(3)
-    pm = ProbeMap((Vector.make(f3, [0, 0]), Vector.make(f3, [1, 0])),
-                  (Vector.make(f3, [1, 0]), Vector.make(f3, [0, 0])))
-    assert _refusal(lambda: pm.image_of(point)) == (error, message)
-
-
 # -- the sphere-shift counterexample ---------------------------------------------
 
 
@@ -533,12 +449,13 @@ def test_sphere_shift_spec_instance():
     assert moved, "grid must contain points on the critical sphere"
     from ultranorm import norm
 
+    image_of = dict(zip(pm.domain, pm.images))
     for x in moved:
         assert norm(x, SUP) == norm(v0, SUP)
-        assert pm.image_of(x) == x + e0
+        assert image_of[x] == x + e0
     for x in pm.domain:
         if norm(x, SUP) != norm(v0, SUP):
-            assert pm.image_of(x) == x
+            assert image_of[x] == x
 
 
 def test_sphere_shift_identity_off_sphere():
@@ -584,7 +501,7 @@ def test_values_survive_pickle_and_copy_with_the_interned_field(field, copier):
         assert back == value and hash(back) == hash(value) and back.field is field
     back = copy_of(probes)
     assert back == probes and back.field is field
-    assert back.image_of(x) == y and back.image_of(y) == x
+    assert back.domain == (x, y) and back.images == (y, x)
 
 
 def _frozen_values():
@@ -639,8 +556,7 @@ def test_frozen_classes_survive_pickle_and_copy(name, copier):
         with pytest.raises(OutsideDomainError if value.field is Q3 else FieldMismatchError):
             back.apply(Q3.scalar(5) if value.field is Q3 else F5.one)
     if isinstance(value, ProbeMap):
-        for x, y in zip(value.domain, value.images):
-            assert back.image_of(x) == y
+        assert dict(zip(back.domain, back.images)) == dict(zip(value.domain, value.images))
         with pytest.raises(AttributeError):
             back.complete = False
 
@@ -739,7 +655,7 @@ def test_axial_isometry_refuses_bool_sigma_entries():
                        match=r"^axial isometry sigma entries must be ints, got \(True, False\)$"):
         AxialIsometry((True, False), taus, _v(F5, "1,2"))
     iso = AxialIsometry((1, 0), taus, _v(F5, "1,2"))
-    assert AxialIsometry.from_json(iso.to_json_dict()) == iso
+    assert iso.to_json_dict()["sigma"] == [1, 0]
 
 
 @pytest.mark.parametrize("q, message", [

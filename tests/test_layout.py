@@ -12,7 +12,8 @@ calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
 one integer kernel, `fields._exponent`.  Every public function and class is
 used elsewhere in the package or exported: test-only helpers live in
 `tests/gen.py`, and the oracles in `tests/naive.py` import neither the
-package nor `gen`.
+package nor `gen`.  A class reads JSON (`from_json`) only if `cli.py` calls
+that reader: the package reads JSON where the CLI does.
 """
 
 from __future__ import annotations
@@ -156,6 +157,18 @@ def unused_public_names(package: Path, exported) -> list[str]:
 def test_every_public_name_is_used_in_the_package_or_exported():
     assert unused_public_names(PACKAGE, ultranorm.__all__) == [], \
         "unused public names; test-only helpers belong in tests/gen.py"
+
+
+def test_every_json_reader_is_called_by_the_cli():
+    readers = {node.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and any(
+                   isinstance(f, ast.FunctionDef) and f.name == "from_json" for f in node.body)}
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.value.id for node in ast.walk(cli)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "from_json" and isinstance(node.func.value, ast.Name)}
+    assert readers and sorted(readers - called) == [], "a from_json the CLI never calls"
 
 
 def test_the_naive_oracles_import_neither_the_package_nor_gen():

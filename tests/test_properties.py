@@ -1,6 +1,6 @@
 """Property tests of scalar arithmetic against plain integer and Fraction math,
 of norms, distances and metric betweenness against the naive oracles, and of
-axial isometries: compose and inverse laws, decompose round trips, JSON
+axial isometries: compose and inverse laws, decompose round trips, probe-map JSON
 round trips, and the paper's main theorem on complete maps of small F_q^n;
 and of the command line, driven with hostile argvs.
 
@@ -379,15 +379,6 @@ def test_one_norm_isometries_are_exactly_the_axial_maps(space, kind, data):
 
 def _through_json(obj):
     return json.loads(json.dumps(obj))
-
-
-@SETTINGS
-@given(field=PADIC_FIELDS, n=st.integers(1, 3), data=st.data())
-def test_axial_isometry_json_round_trip(field, n, data):
-    iso = data.draw(rational_isometries(field, n))
-    assert AxialIsometry.from_json(_through_json(iso.to_json_dict())) == iso
-    finite = data.draw(finite_isometries(data.draw(st.sampled_from([2, 3, 5])), n))
-    assert AxialIsometry.from_json(_through_json(finite.to_json_dict())) == finite
 
 
 @SETTINGS

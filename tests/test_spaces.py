@@ -260,12 +260,13 @@ def test_vector_equality_hash_and_immutability():
     assert v == same and hash(v) == hash(same) and hash(v) == hash(v)
     assert v != Vector.parse(TQ, "9,1/3") and v != Vector.parse(Q3, "9,1/3,0")
     assert v != v.coords and Vector.parse(F3, "1,2") == Vector.make(F3, [4, -1])
-    for name in ("field", "coords", "_hash", "extra"):
+    raw = v._raw_values()   # fills the kept slot
+    for name in ("field", "coords", "_raw", "extra"):
         with pytest.raises(AttributeError):
             setattr(v, name, None)
         with pytest.raises(AttributeError):
             delattr(v, name)
-    assert v == same
+    assert v == same and v._raw_values() is raw
 
 
 @pytest.mark.parametrize("coords", [[F3.scalar(1)], (c for c in (F3.scalar(1),))],
