@@ -1,8 +1,6 @@
 """Batch command-line surface: one subcommand per library operation.
 
-Output is compact JSON by default (machine-readable, byte-deterministic for
-identical inputs) or an indented text rendering with --format text, where
-exact rationals gain a decimal approximation for display.  Exit codes:
+Output is compact JSON, byte-deterministic for identical inputs.  Exit codes:
 0 success, 1 domain error (structured error JSON on stdout), 2 usage error,
 3 internal error: a bug, reported as {"error": {"type": "internal", ...}} on
 stdout with the traceback on stderr.
@@ -15,7 +13,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import betweenness, oracle, sampling
 from .errors import (DEFAULT_ENUM_CAP, DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP,
@@ -26,45 +23,8 @@ from .isometry import ProbeMap, decompose, sphere_shift_map, verify_isometry
 from .spaces import NormSpec, Vector, check_norm_axioms, distance, norm
 
 
-def _approx(text: str) -> str:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return text
-    if value.denominator == 1:
-        return text
-    try:
-        return f"{text} (~{float(value):.6g})"
-    except OverflowError:  # beyond float range: the exact value alone
-        return text
-
-
-def _render_text(obj, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if isinstance(val, (dict, list)) and val:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(val, indent + 1))
-            else:
-                shown = _approx(val) if isinstance(val, str) else json.dumps(val)
-                lines.append(f"{pad}{key}: {shown}")
-    elif isinstance(obj, list):
-        for item in obj:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {item}")
-    return lines
-
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "text":
-        print("\n".join(_render_text(payload)))
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, separators=(",", ":")))
 
 
 def _read_probes(source: str) -> ProbeMap:
@@ -203,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
         return cmd
 
     # field/norm strings are parsed in main() so malformed values surface as
@@ -297,15 +256,14 @@ def main(argv=None) -> int:
             args.field = FieldSpec.parse(args.field)
         if isinstance(getattr(args, "norm", None), str):
             args.norm = NormSpec.parse(args.norm)
-        _emit(_payload(args), args.format)
+        _emit(_payload(args))
     except UltranormError as exc:
-        _emit({"error": exc.to_json_dict()}, args.format)
+        _emit({"error": exc.to_json_dict()})
         return 1
     except Exception as exc:
         import traceback  # here, not at the top: it would slow every start
 
         traceback.print_exc()
-        _emit({"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}},
-              args.format)
+        _emit({"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}})
         return 3
     return 0

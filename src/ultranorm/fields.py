@@ -18,6 +18,8 @@ every field, so `valuation` and the norm keys compute it once per scalar.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import FieldMismatchError, InvalidInputError, ParseError, quoted, require_type
@@ -33,6 +35,23 @@ _KINDS = (PADIC, GF, TRIVIAL)
 
 # (kind, prime) -> the one FieldSpec of that field; only valid specs enter.
 _INTERNED: dict[tuple[str, int | None], "FieldSpec"] = {}
+
+
+# A rational literal's decimal exponent, as `Fraction` reads it.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(token: str) -> Fraction:
+    """Fraction(token), refused as a parse error when the token's decimal
+    exponent exceeds the int -> str digit limit in magnitude: `Fraction` would
+    spend time and memory that grow with the exponent on a value no output
+    could print."""
+    match = _EXPONENT.search(token)
+    # 4300 is CPython's default limit: releases before 3.10.7 have none to read
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if match and limit and (len(match[1]) > limit or int(match[1]) > limit):
+        raise ParseError(f"exponent of {quoted(token)} is past the {limit}-digit limit")
+    return Fraction(token)
 
 
 # Moduli are bounded so that trial division takes at most 2^16 steps.
@@ -168,7 +187,7 @@ class FieldSpec(_Immutable):
         if isinstance(value, str):
             token = value.strip()
             try:
-                value = int(token) if self.kind == GF else Fraction(token)
+                value = int(token) if self.kind == GF else _rational(token)
             except (ValueError, ZeroDivisionError):
                 what = "residue" if self.kind == GF else "rational"
                 raise ParseError(f"bad {what} {quoted(token)} for {self}") from None

@@ -214,6 +214,7 @@ def exhaustive_betweenness_check(q: int, n: int,
     value a + value b, or -1 when that sum is no distance.  The coordinate
     side is a `coordinate_between` call per triple.
     """
+    require_type("dimension", n, int)
     EnumerationTooLargeError.check(q, 3 * n, DEFAULT_TRIPLE_CAP if cap is None else cap,
                                    f"triples of F_{q}^{n}")
     points, one = enumerate_space(FieldSpec.gf(q), n), NormSpec.one()

@@ -30,7 +30,7 @@ from .errors import (
     require_type,
 )
 from .fields import (GF, AxiomReport, FieldSpec, Magnitude, Scalar, _check_samples, _Immutable,
-                     _exponent, valuation)
+                     _exponent, _rational, valuation)
 
 ONE = "one"
 SUP = "sup"
@@ -119,6 +119,7 @@ class Vector(_Immutable):
 
     def scale(self, lam: Scalar) -> "Vector":
         """lam * self; a lam from another field fails in Scalar._check."""
+        require_type("scale factor", lam, Scalar)
         return Vector(self.field, tuple(lam * a for a in self.coords))
 
     def __str__(self) -> str:
@@ -139,6 +140,7 @@ class NormSpec(_Immutable):
         if kind == WSUP:
             if not weights:
                 raise InvalidInputError("weighted sup norm needs weights")
+            require_type("weights", weights, list, tuple)
             for w in weights:
                 if type(w) not in (int, Fraction):   # as for Scalar: no float, no bool
                     raise ParseError(f"{type(w).__name__} {quoted(w)} is not an exact weight")
@@ -160,7 +162,7 @@ class NormSpec(_Immutable):
 
     @classmethod
     def weighted_sup(cls, weights) -> "NormSpec":
-        return cls(WSUP, tuple(weights))
+        return cls(WSUP, weights)
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
@@ -172,7 +174,7 @@ class NormSpec(_Immutable):
             return cls(head)
         if head == WSUP and sep:
             try:
-                return cls.weighted_sup(Fraction(w) for w in tail.split(","))
+                return cls.weighted_sup([_rational(w) for w in tail.split(",")])
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad weight list {quoted(tail)}") from None
         raise ParseError(f"bad norm tag {quoted(text)} (expected one, sup or wsup:w1,w2,...)")

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 
 import pytest
 
 import ultranorm
 from ultranorm import FieldSpec, ProbeMap, UltranormError
-from ultranorm.cli import main
+from ultranorm.cli import build_parser, main
 
 from gen import probe_grid, random_axial_isometry
 
@@ -427,16 +428,32 @@ def test_counterexample_rejects_probes_from_another_space(capsys, monkeypatch,
     assert code == 1 and payload["error"]["type"] == kind
 
 
-def test_text_format(capsys):
-    code, out = run(capsys, "norm", "--field", "padic:3", "--norm", "one",
-                    "--vec", "9,1/3", "--format", "text")
-    assert code == 0
-    assert out.startswith("value: 28/9")
-    assert "3.11111" in out  # decimal rendering is display-only
-    code, out = run(capsys, "norm", "--field", "padic:3", "--norm",
-                    "wsup:1" + "0" * 400 + "/7", "--vec", "1", "--format", "text")
-    assert code == 0
-    assert out == "value: 1" + "0" * 400 + "/7"  # beyond float range: exact only
+def test_format_is_a_usage_error_on_every_subcommand(capsys, tmp_path):
+    # JSON is the only output: each argv runs as given, and adding --format text
+    # makes it a usage error
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"field": "gf:2", "n": 1, "pairs": [
+        [["0"], ["0"]], [["1"], ["1"]]]}), encoding="utf-8")
+    argvs = [
+        ["norm", "--field", "gf:2", "--norm", "one", "--vec", "1"],
+        ["distance", "--field", "gf:2", "--norm", "one", "--x", "1", "--y", "0"],
+        ["between", "--field", "gf:2", "--x", "0", "--z", "1", "--y", "1"],
+        ["segment", "--field", "gf:2", "--x", "0", "--y", "1"],
+        ["minimize", "--field", "gf:2", "--a", "0", "--c", "1"],
+        ["verify", "--norm", "one", "--probes", str(probes)],
+        ["decompose", "--probes", str(probes)],
+        ["counterexample", "--field", "padic:3", "--e0", "3", "--v0", "1", "--values", "0,1"],
+        ["enumerate", "--q", "2", "--n", "1"],
+        ["check-betweenness", "--q", "2", "--n", "1"],
+        ["check-axioms", "--field", "gf:2", "--samples", "1"],
+    ]
+    listed = re.search(r"\{([\w,-]+)\}", build_parser().format_usage())[1]
+    assert sorted(argv[0] for argv in argvs) == sorted(listed.split(","))
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--format", "text"])
+        assert err.value.code == 2, argv
 
 
 def test_missing_probe_file_is_domain_error(capsys):

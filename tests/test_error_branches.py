@@ -3,12 +3,13 @@
 One case per guard, mostly guards no other test reaches.  Only the
 exception class is checked, so a guard may reword its message but never
 change its kind; the cases in NAMED, which name a value of the wrong
-class, pin their message as well.
+class or a literal past its bound, pin their message as well.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,7 +123,7 @@ CASES = {
     "probe-isometry-points": (InvalidInputError, lambda: ProbeMap(
         (AxialIsometry.identity(Q3, 1),), (AxialIsometry.identity(Q3, 1),))),
     "probe-later-int-image": (InvalidInputError, lambda: ProbeMap((v(Q3, 0),), (0,))),
-    "affine-int-slope": (InvalidInputError, lambda: AffineMap(1, 0)),
+    "affine-int-slope": (InvalidInputError, lambda: AffineMap(1, Q3.zero)),
     "affine-int-offset": (InvalidInputError, lambda: AffineMap(Q3.one, 0)),
     # a field or operand of the wrong class is refused, not an AttributeError
     "scalar-str-field": (InvalidInputError, lambda: Scalar("gf:3", 1)),
@@ -270,6 +271,17 @@ CASES = {
                                 lambda: check_norm_axioms(NormSpec.one(), F3, [3])),
     "check-axioms-short-sample": (InvalidInputError, lambda: check_norm_axioms(
         NormSpec.one(), F3, [(v(F3, 1), v(F3, 2))])),
+    # a scale factor, weight list or dimension of the wrong class, refused at entry
+    "vector-scale-int": (InvalidInputError, lambda: Vector.make(F3, [1]).scale(2)),
+    "check-axioms-int-lam": (InvalidInputError, lambda: check_norm_axioms(
+        NormSpec.one(), F3, [(v(F3, 1), v(F3, 2), 2)])),
+    "wsup-int-weights": (InvalidInputError, lambda: NormSpec.weighted_sup(3)),
+    "norm-wsup-int-weights": (InvalidInputError, lambda: NormSpec("wsup", 3)),
+    "betweenness-none-n": (InvalidInputError, lambda: exhaustive_betweenness_check(2, None)),
+    # a decimal exponent past the digit limit is refused before Fraction builds the value
+    "parse-huge-exponent": (ParseError, lambda: Vector.parse(Q5, "1e300000")),
+    "parse-huge-negative-exponent": (ParseError, lambda: Vector.parse(Q5, "1e-300000")),
+    "norm-parse-huge-weight-exponent": (ParseError, lambda: NormSpec.parse("wsup:1e300000")),
 }
 
 
@@ -304,7 +316,7 @@ NAMED["compose-int-isometry"] = NAMED["probe-from-int-isometry"]
 NAMED["enumerate-int-centred"] = "centred flag must be a bool, got int"
 NAMED["segment-str-cap"] = NAMED["enumerate-str-cap"] = "cap must be an int, got str"
 NAMED["enumerate-str-q"] = "size base must be an int, got str"
-NAMED["betweenness-str-n"] = "size exponent must be an int, got str"
+NAMED["betweenness-str-n"] = "dimension must be an int, got str"
 NAMED["table-residues-str-images"] = "residue images must be a list or tuple, got str"
 NAMED.update({key: "field must be a FieldSpec, got str" for key in (
     "random-scalar-str-field", "random-vector-str-field", "axiom-samples-str-field",
@@ -344,11 +356,23 @@ NAMED["check-valuation-int-sample"] = "valuation sample must be a list or tuple,
 NAMED["check-valuation-short-sample"] = "valuation sample must have 2 items, got 1"
 NAMED["check-axioms-int-sample"] = "norm sample must be a list or tuple, got int"
 NAMED["check-axioms-short-sample"] = "norm sample must have 3 items, got 2"
+NAMED["affine-int-slope"] = "affine slope must be a Scalar, got int"
+NAMED["affine-int-offset"] = "affine offset must be a Scalar, got int"
+NAMED["vector-scale-int"] = "scale factor must be a Scalar, got int"
+NAMED["check-axioms-int-lam"] = NAMED["vector-scale-int"]
+NAMED["wsup-int-weights"] = "weights must be a list or tuple, got int"
+NAMED["norm-wsup-int-weights"] = NAMED["wsup-int-weights"]
+NAMED["betweenness-none-n"] = "dimension must be an int, got NoneType"
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+NAMED.update({key: f"exponent of {token!r} is past the {_LIMIT}-digit limit"
+              for key, token in (("parse-huge-exponent", "1e300000"),
+                                 ("parse-huge-negative-exponent", "1e-300000"),
+                                 ("norm-parse-huge-weight-exponent", "1e300000"))})
 
 
 @pytest.mark.parametrize("key", NAMED)
 def test_a_value_of_the_wrong_class_is_named(key):
-    with pytest.raises(InvalidInputError) as info:
+    with pytest.raises(CASES[key][0]) as info:
         CASES[key][1]()
     assert str(info.value) == NAMED[key]
 

@@ -13,7 +13,8 @@ one integer kernel, `fields._exponent`.  Every public function and class is
 used elsewhere in the package or exported: test-only helpers live in
 `tests/gen.py`, and the oracles in `tests/naive.py` import neither the
 package nor `gen`.  A class reads JSON (`from_json`) only if `cli.py` calls
-that reader: the package reads JSON where the CLI does.
+that reader: the package reads JSON where the CLI does.  No module names
+`float`: no binary float may reach a coordinate, nor any output.
 """
 
 from __future__ import annotations
@@ -117,6 +118,14 @@ def test_only_fields_reads_integer_ratios(path):
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"]
     assert calls == [], f"{path.name}:{calls} reads integer ratios; use fields._exponent"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_float(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "float"]
+    assert lines == [], f"{path.name}:{lines} names float; values stay exact"
 
 
 def test_fields_reads_integer_ratios():

@@ -358,7 +358,7 @@ def test_decompose_succeeds_exactly_on_the_naively_axial_found_maps(kind):
 
     verdicts = set()
     for q, n in _spaces(DEFAULT_SPACE_CAP if kind == "one" else DEFAULT_ULTRAMETRIC_SPACE_CAP):
-        spec = NormSpec.weighted_sup(range(1, n + 1)) if kind == "wsup" else NormSpec(kind)
+        spec = NormSpec.weighted_sup(list(range(1, n + 1))) if kind == "wsup" else NormSpec(kind)
         result = enumerate_isometries(q, n, spec)
         for perm in result.isometries:
             axial = is_axial(perm, q, n)
