@@ -1,15 +1,15 @@
 """Independent brute-force ground truth over finite fields.
 
-Everything here works by exhaustion: distance-preserving bijections of
-F_q^n are found by a depth-first search that keeps, for each point and each
-distance, the bitset of points at that distance, and intersects them as
-points are placed; betweenness is checked over all q**(3n) triples, the
-metric side read off one coded table of the (q**n)**2 exact distances and
-the coordinate side by `coordinate_between` per triple; and the found
-isometry sets are checked for group closure.  Structural facts (the
-taxicab isometry group is S_n permuting coordinates, a bijection of F_q per
-coordinate, and a translation, giving n! * (q!)**n maps) are verified
-against these enumerations, never assumed by them.
+Everything here works by exhaustion over one coded table of the (q**n)**2
+exact distances of F_q^n (`_space`): distance-preserving bijections are
+found by a depth-first search that keeps, for each point and each distance,
+the bitset of points at that distance, and intersects them as points are
+placed; betweenness is checked over all q**(3n) triples, the metric side
+read off the table and the coordinate side by `coordinate_between` per
+triple; and the found isometry sets are checked for group closure.
+Structural facts (the taxicab isometry group is S_n permuting coordinates,
+a bijection of F_q per coordinate, and a translation, giving n! * (q!)**n
+maps) are verified against these enumerations, never assumed by them.
 """
 
 from __future__ import annotations
@@ -88,17 +88,18 @@ class EnumerationResult:
         }
 
 
-def _coded(dist) -> tuple[list[list[int]], dict]:
-    """A distance table with each distinct value coded as a small int, in
-    order of first appearance, and the codes by value (in code order)."""
-    codes: dict = {}
-    return [[codes.setdefault(d, len(codes)) for d in row] for row in dist], codes
+def _space(q: int, n: int, spec: NormSpec) -> tuple[list[Vector], list[list[int]], dict]:
+    """F_q^n (lexicographic, origin first), code[i][j] = the code of d(i, j) under
+    spec, each distinct value coded in order of first appearance, and the codes by value."""
+    points, codes = enumerate_space(FieldSpec.gf(q), n), {}
+    return points, [[codes.setdefault(distance(x, y, spec), len(codes)) for y in points]
+                    for x in points], codes
 
 
-def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
+def _search(code: list[list[int]], images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     """Depth-first search over image assignments in point order, on bitsets.
 
-    Each distinct distance gets a small integer code, and ball[c][k] is the
+    code[i][j] is the small-int code of d(i, j), and ball[c][k] is the
     bitset of points at code k from point c.  The candidates for point i are
     the free points in ball[images[j]][code[i][j]] for every placed j < i,
     walked in ascending order, so each found tuple is an isometry by
@@ -107,8 +108,7 @@ def _search(dist, images: list[int]) -> tuple[list[tuple[int, ...]], int]:
     candidate a pair-by-pair check would have tried.  The search keeps its
     own stack, so its depth is not bounded by Python's recursion limit.
     """
-    code, codes = _coded(dist)
-    ball = [[0] * len(codes) for _ in dist]
+    ball = [[0] * (1 + max(map(max, code))) for _ in code]
     for c, row in enumerate(code):
         for p, k in enumerate(row):
             ball[c][k] |= 1 << p
@@ -157,12 +157,9 @@ def enumerate_isometries(q: int, n: int, spec: NormSpec | None = None,
     if cap is None:
         cap = DEFAULT_ULTRAMETRIC_SPACE_CAP if spec.ultrametric else DEFAULT_SPACE_CAP
     EnumerationTooLargeError.check(q, n, cap, f"F_{q}^{n}")
-    field = FieldSpec.gf(q)
-
-    points = enumerate_space(field, n)
-    dist = [[distance(x, y, spec) for y in points] for x in points]
+    points, code, _ = _space(q, n, spec)
     # lexicographic order puts the origin first; centred pins it
-    perms, attempts = _search(dist, [0] if centred else [])
+    perms, attempts = _search(code, [0] if centred else [])
 
     result = EnumerationResult(
         q=q, n=n, norm=spec, centred=centred, points=tuple(points),
@@ -217,8 +214,7 @@ def exhaustive_betweenness_check(q: int, n: int,
     require_type("dimension", n, int)
     EnumerationTooLargeError.check(q, 3 * n, DEFAULT_TRIPLE_CAP if cap is None else cap,
                                    f"triples of F_{q}^{n}")
-    points, one = enumerate_space(FieldSpec.gf(q), n), NormSpec.one()
-    code, codes = _coded([[distance(x, y, one) for y in points] for x in points])
+    points, code, codes = _space(q, n, NormSpec.one())
     plus = [[codes.get(a + b, -1) for b in codes] for a in codes]
     report = BetweennessReport(q=q, n=n)
     for x, cx in zip(points, code):

@@ -209,6 +209,11 @@ CASES = {
                                 lambda: random_vector("gf:3", 2, random.Random(1))),
     "axiom-samples-str-field": (InvalidInputError,
                                 lambda: norm_axiom_samples("gf:3", 2, 3, random.Random(1))),
+    # no draw reaches random_scalar's own check: zero samples, or zero coordinates
+    "axiom-samples-str-field-no-samples": (
+        InvalidInputError, lambda: norm_axiom_samples("x", 2, 0, random.Random(1))),
+    "random-vector-str-field-zero-dim": (
+        InvalidInputError, lambda: random_vector("x", 0, random.Random(1))),
     "grid-str-field": (InvalidInputError, lambda: grid_from_values("gf:3", 2, ["0", "1"])),
     "identity-str-field": (InvalidInputError, lambda: AxialIsometry.identity("gf:3", 1)),
     # a size is exactly an int, so True is refused as EnumerationTooLargeError.check refuses it
@@ -320,6 +325,7 @@ NAMED["betweenness-str-n"] = "dimension must be an int, got str"
 NAMED["table-residues-str-images"] = "residue images must be a list or tuple, got str"
 NAMED.update({key: "field must be a FieldSpec, got str" for key in (
     "random-scalar-str-field", "random-vector-str-field", "axiom-samples-str-field",
+    "axiom-samples-str-field-no-samples", "random-vector-str-field-zero-dim",
     "grid-str-field", "identity-str-field")})
 NAMED["zero-str-dim"] = NAMED["identity-str-dim"] = "dimension must be an int, got str"
 NAMED["zero-bool-dim"] = NAMED["identity-bool-dim"] = "dimension must be an int, got bool"

@@ -2,9 +2,10 @@
 the norm keys and `TableMap`'s p-adic pass read their exponents from it.
 
 The kernel is held to `naive.padic_abs` and `naive.trivial_abs` on seeded
-raw values over padic:2/3/5, gf:5 and trivial:q; the p-adic table pass is
-held to build no `Scalar` per pair, and to name a metric break with the
-valuations it always printed.
+raw values over padic:2/3/5, gf:5 and trivial:q, the p-adic ones also at
+exponents in the thousands; the p-adic table pass is held to build no
+`Scalar` per pair, and to name a metric break with the valuations it
+always printed.
 """
 
 from __future__ import annotations
@@ -29,15 +30,29 @@ def _raw(field: FieldSpec, rng: random.Random):
                     rng.randint(1, 12) * p ** rng.randint(0, 3))
 
 
+def _deep(p: int, rng: random.Random, k: int) -> Fraction:
+    """A unit of either sign times p**k, so |·| is exactly p**-k."""
+    while True:
+        num, den = rng.randint(1, 30), rng.randint(1, 12)
+        if num % p and den % p:
+            return Fraction(rng.choice([-1, 1]) * num, den) * Fraction(p) ** k
+
+
 @pytest.mark.parametrize("tag", FIELDS)
 def test_the_kernel_matches_the_naive_absolute_value(tag):
     field = FieldSpec.parse(tag)
     absval = (lambda x: padic_abs(x, field.prime)) if field.kind == "padic" else trivial_abs
     rng = random.Random(tag)
+    pairs = []
     for _ in range(400):
         a, b = _raw(field, rng), _raw(field, rng)
-        if rng.random() < 0.1:
-            b = a
+        pairs.append((a, a) if rng.random() < 0.1 else (a, b))
+    if field.kind == "padic":   # exponents in the thousands, |a| = |b| in about half the pairs
+        for _ in range(12):
+            k = rng.choice([-1, 1]) * rng.randint(1000, 4000)
+            pairs.append((_deep(field.prime, rng, k),
+                          _deep(field.prime, rng, k + rng.choice([0, 0, 0, 1, -2, 7]))))
+    for a, b in pairs:
         e = _exponent(a, b, field._p)
         assert (e is None) == (a == b)
         expected = absval(a - b)
