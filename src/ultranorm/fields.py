@@ -332,18 +332,6 @@ def valuation(a: Scalar) -> Magnitude:
 # -- axiom verification -------------------------------------------------------
 
 
-class AxiomViolation(_Immutable):
-    __slots__ = ("axiom", "operands", "detail")
-
-    def __init__(self, axiom: str, operands: tuple[str, ...], detail: str):
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "operands", operands)
-        object.__setattr__(self, "detail", detail)
-
-    def to_json_dict(self) -> dict:
-        return {"axiom": self.axiom, "operands": list(self.operands), "detail": self.detail}
-
-
 class AxiomReport:
     """Outcome of an axiom sweep: violations are content, not exceptions."""
 
@@ -360,15 +348,14 @@ class AxiomReport:
         self.checks += 1
         if not passed:
             self.violations.append(
-                AxiomViolation(axiom, tuple(str(o) for o in operands), detail)
-            )
+                {"axiom": axiom, "operands": [str(o) for o in operands], "detail": detail})
 
     def to_json_dict(self) -> dict:
         return {
             "subject": self.subject,
             "checks": self.checks,
             "ok": self.ok,
-            "violations": [v.to_json_dict() for v in self.violations],
+            "violations": self.violations,
         }
 
 

@@ -440,6 +440,7 @@ class IsometryReport:
                  "surjective", "violation_count", "collision_count")
 
     def __init__(self, norm: str, probes: int):
+        require_type("probe count", probes, int)
         self.norm, self.probes, self.pairs_checked = norm, probes, probes * (probes - 1) // 2
         self.distance_violations: list = []   # the first WITNESS_LIMIT
         self.collisions: list = []            # the first WITNESS_LIMIT
@@ -463,17 +464,8 @@ class IsometryReport:
             "ok": self.ok,
             "injective": self.injective,
             "surjective": self.surjective,
-            "violations": [
-                {
-                    "x": str(x), "y": str(y),
-                    "domain_distance": str(d1), "image_distance": str(d2),
-                }
-                for x, y, d1, d2 in self.distance_violations
-            ],
-            "collisions": [
-                {"x": str(x), "y": str(y), "image": str(img)}
-                for x, y, img in self.collisions
-            ],
+            "violations": self.distance_violations,
+            "collisions": self.collisions,
             "violation_count": self.violation_count,
             "collision_count": self.collision_count,
         }
@@ -501,11 +493,12 @@ def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
             report.violation_count += 1
             if len(report.distance_violations) < WITNESS_LIMIT:
                 report.distance_violations.append(
-                    (x, y, distance(x, y, spec), distance(fx, fy, spec)))
+                    {"x": str(x), "y": str(y), "domain_distance": str(distance(x, y, spec)),
+                     "image_distance": str(distance(fx, fy, spec))})
         if image is None:
             report.collision_count += 1
             if len(report.collisions) < WITNESS_LIMIT:
-                report.collisions.append((x, y, fx))
+                report.collisions.append({"x": str(x), "y": str(y), "image": str(fx)})
     if m.complete:
         # q^n distinct probes whose images lie in F_q^n: onto iff one-to-one
         report.surjective = report.injective

@@ -108,7 +108,8 @@ def _search(code: list[list[int]], images: list[int]) -> tuple[list[tuple[int, .
     candidate a pair-by-pair check would have tried.  The search keeps its
     own stack, so its depth is not bounded by Python's recursion limit.
     """
-    ball = [[0] * (1 + max(map(max, code))) for _ in code]
+    width = 1 + max(map(max, code))
+    ball = [[0] * width for _ in code]
     for c, row in enumerate(code):
         for p, k in enumerate(row):
             ball[c][k] |= 1 << p
@@ -179,6 +180,8 @@ class BetweennessReport:
     __slots__ = ("q", "n", "triples", "mismatches", "first_mismatches")
 
     def __init__(self, q: int, n: int):
+        require_type("field size", q, int)
+        require_type("dimension", n, int)
         self.q, self.n, self.triples, self.mismatches = q, n, q ** (3 * n), 0
         self.first_mismatches: list = []
 
@@ -193,10 +196,7 @@ class BetweennessReport:
             "triples": self.triples,
             "mismatches": self.mismatches,
             "ok": self.ok,
-            "witnesses": [
-                {"x": str(x), "z": str(z), "y": str(y), "metric": m, "coordinate": c}
-                for x, z, y, m, c in self.first_mismatches
-            ],
+            "witnesses": self.first_mismatches,
         }
 
 
@@ -226,7 +226,8 @@ def exhaustive_betweenness_check(q: int, n: int,
                 if metric != coord:
                     report.mismatches += 1
                     if len(report.first_mismatches) < WITNESS_LIMIT:
-                        report.first_mismatches.append((x, z, y, metric, coord))
+                        report.first_mismatches.append({"x": str(x), "z": str(z), "y": str(y),
+                                                        "metric": metric, "coordinate": coord})
     return report
 
 

@@ -17,10 +17,12 @@ import pytest
 from ultranorm import (
     AffineMap,
     AxialIsometry,
+    BetweennessReport,
     DimensionMismatchError,
     FieldMismatchError,
     FieldSpec,
     InvalidInputError,
+    IsometryReport,
     NormSpec,
     ParseError,
     ProbeMap,
@@ -283,6 +285,8 @@ CASES = {
     "wsup-int-weights": (InvalidInputError, lambda: NormSpec.weighted_sup(3)),
     "norm-wsup-int-weights": (InvalidInputError, lambda: NormSpec("wsup", 3)),
     "betweenness-none-n": (InvalidInputError, lambda: exhaustive_betweenness_check(2, None)),
+    "betweenness-report-str-q": (InvalidInputError, lambda: BetweennessReport("x", 1)),
+    "isometry-report-str-probes": (InvalidInputError, lambda: IsometryReport("one", "x")),
     # a decimal exponent past the digit limit is refused before Fraction builds the value
     "parse-huge-exponent": (ParseError, lambda: Vector.parse(Q5, "1e300000")),
     "parse-huge-negative-exponent": (ParseError, lambda: Vector.parse(Q5, "1e-300000")),
@@ -369,6 +373,8 @@ NAMED["check-axioms-int-lam"] = NAMED["vector-scale-int"]
 NAMED["wsup-int-weights"] = "weights must be a list or tuple, got int"
 NAMED["norm-wsup-int-weights"] = NAMED["wsup-int-weights"]
 NAMED["betweenness-none-n"] = "dimension must be an int, got NoneType"
+NAMED["betweenness-report-str-q"] = "field size must be an int, got str"
+NAMED["isometry-report-str-probes"] = "probe count must be an int, got str"
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 NAMED.update({key: f"exponent of {token!r} is past the {_LIMIT}-digit limit"
               for key, token in (("parse-huge-exponent", "1e300000"),

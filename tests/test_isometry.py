@@ -508,7 +508,6 @@ def _frozen_values():
     """One value per frozen class (two NormSpecs, two TableMaps), with its repr
     in the form the earlier dataclass versions printed."""
     from ultranorm import segment
-    from ultranorm.fields import AxiomViolation
 
     f2_0, f2_1 = _v(F2, "0"), _v(F2, "1")
     return {
@@ -532,8 +531,6 @@ def _frozen_values():
         "SegmentEnumeration": (segment(f2_0, f2_1),
                                "SegmentEnumeration(x=Vector(gf:2, 0), y=Vector(gf:2, 1), k=1, "
                                "points=(Vector(gf:2, 0), Vector(gf:2, 1)))"),
-        "AxiomViolation": (AxiomViolation("ultrametric", ("1", "2"), "x"),
-                           "AxiomViolation(axiom='ultrametric', operands=('1', '2'), detail='x')"),
     }
 
 

@@ -2,12 +2,11 @@
 `UltranormError`.
 
 VALID holds one small call per callable: everything in `__all__` but the
-error classes, the `Magnitude` alias and the REPORTS, the constructors and
-classmethods, `apply`, `compose`, `scale`, the `Scalar` and `Vector`
-operators and the four `sampling` draws.  The REPORTS hold what a check
-found; the package builds them from arguments it has already checked.
-Each call is replayed with one argument at a time replaced by each of
-WRONG, unless the valid argument already has that value's class.  A replay
+error classes and the `Magnitude` alias (the reports included), the
+constructors and classmethods, `apply`, `compose`, `scale`, the `Scalar`
+and `Vector` operators and the four `sampling` draws.  Each call is
+replayed with one argument at a time replaced by each of WRONG, unless
+the valid argument already has that value's class.  A replay
 may return or raise an `UltranormError`; the one other outcome allowed is
 `Scalar._check`'s documented "expected Scalar, ..." `TypeError`.
 `tests/test_error_branches.py` pins the messages; this module only keeps
@@ -25,10 +24,15 @@ import ultranorm
 from ultranorm import (
     AffineMap,
     AxialIsometry,
+    AxiomReport,
+    BetweennessReport,
+    EnumerationResult,
     FieldSpec,
+    IsometryReport,
     NormSpec,
     ProbeMap,
     Scalar,
+    SegmentEnumeration,
     TableMap,
     UltranormError,
     Vector,
@@ -57,8 +61,6 @@ from ultranorm.sampling import (grid_from_values, norm_axiom_samples, random_sca
                                 random_vector)
 
 WRONG = ["x", 3, 1.5, None, [], object(), True]
-REPORTS = {"AxiomReport", "BetweennessReport", "EnumerationResult", "IsometryReport",
-           "SegmentEnumeration"}
 
 F2, Q2, ONE = FieldSpec.gf(2), FieldSpec.padic(2), NormSpec.one()
 S0, S1 = F2.zero, F2.one
@@ -127,6 +129,12 @@ VALID = [
      {"spec": ONE, "centred": False, "cap": 4}),
     ("group_closure_check", group_closure_check, (ENUMERATION,), {}),
     ("exhaustive_betweenness_check", exhaustive_betweenness_check, (2, 1), {"cap": 64}),
+    ("AxiomReport", AxiomReport, ("gf:2",), {}),
+    ("SegmentEnumeration", SegmentEnumeration, (X, Y, 2, POINTS), {}),
+    ("IsometryReport", IsometryReport, ("one", 2), {}),
+    ("EnumerationResult", EnumerationResult,
+     (2, 1, ONE, False, ENUMERATION.points, ENUMERATION.isometries, 2, 2), {}),
+    ("BetweennessReport", BetweennessReport, (2, 1), {}),
     ("random_scalar", random_scalar, (F2, random.Random(1)), {"unit": False}),
     ("random_vector", random_vector, (F2, 2, random.Random(1)), {}),
     ("norm_axiom_samples", norm_axiom_samples, (F2, 2, 2, random.Random(1)), {}),
@@ -148,7 +156,7 @@ def _replays(args: tuple, kwargs: dict):
 
 def test_every_public_callable_is_swept():
     public = {name for name in ultranorm.__all__ if not name.endswith("Error")}
-    assert public - REPORTS - {"Magnitude"} <= {label.partition(".")[0] for label, *_ in VALID}
+    assert public - {"Magnitude"} <= {label.partition(".")[0] for label, *_ in VALID}
 
 
 @pytest.mark.parametrize("call, args, kwargs", [entry[1:] for entry in VALID],
