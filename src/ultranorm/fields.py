@@ -355,7 +355,7 @@ class AxiomReport:
             "subject": self.subject,
             "checks": self.checks,
             "ok": self.ok,
-            "violations": self.violations,
+            "violations": list(self.violations),
         }
 
 

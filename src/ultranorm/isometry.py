@@ -464,8 +464,8 @@ class IsometryReport:
             "ok": self.ok,
             "injective": self.injective,
             "surjective": self.surjective,
-            "violations": self.distance_violations,
-            "collisions": self.collisions,
+            "violations": list(self.distance_violations),
+            "collisions": list(self.collisions),
             "violation_count": self.violation_count,
             "collision_count": self.collision_count,
         }

@@ -4,9 +4,10 @@ Everything here works by exhaustion over one coded table of the (q**n)**2
 exact distances of F_q^n (`_space`): distance-preserving bijections are
 found by a depth-first search that keeps, for each point and each distance,
 the bitset of points at that distance, and intersects them as points are
-placed; betweenness is checked over all q**(3n) triples, the metric side
-read off the table and the coordinate side by `coordinate_between` per
-triple; and the found isometry sets are checked for group closure.
+placed; betweenness is checked over all q**(3n) triples with two bitsets
+over y per (x, z) pair, the metric side built from those same bitsets and
+the coordinate side from the points with a given value at a given
+coordinate; and the found isometry sets are checked for group closure.
 Structural facts (the taxicab isometry group is S_n permuting coordinates,
 a bijection of F_q per coordinate, and a translation, giving n! * (q!)**n
 maps) are verified against these enumerations, never assumed by them.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from math import factorial
 
-from .betweenness import coordinate_between
 from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
                      WITNESS_LIMIT, EnumerationTooLargeError, InvalidInputError, require_type)
 from .fields import FieldSpec
@@ -96,23 +96,30 @@ def _space(q: int, n: int, spec: NormSpec) -> tuple[list[Vector], list[list[int]
                     for x in points], codes
 
 
-def _search(code: list[list[int]], images: list[int]) -> tuple[list[tuple[int, ...]], int]:
-    """Depth-first search over image assignments in point order, on bitsets.
-
-    code[i][j] is the small-int code of d(i, j), and ball[c][k] is the
-    bitset of points at code k from point c.  The candidates for point i are
-    the free points in ball[images[j]][code[i][j]] for every placed j < i,
-    walked in ascending order, so each found tuple is an isometry by
-    construction and the tuples come in lexicographic order.  Returns them
-    with the attempts: the free points at each node visited, that is every
-    candidate a pair-by-pair check would have tried.  The search keeps its
-    own stack, so its depth is not bounded by Python's recursion limit.
-    """
+def _balls(code: list[list[int]]) -> list[list[int]]:
+    """ball[c][k]: the bitset of points at code k from point c."""
     width = 1 + max(map(max, code))
     ball = [[0] * width for _ in code]
     for c, row in enumerate(code):
         for p, k in enumerate(row):
             ball[c][k] |= 1 << p
+    return ball
+
+
+def _search(code: list[list[int]], images: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """Depth-first search over image assignments in point order, on bitsets.
+
+    code[i][j] is the small-int code of d(i, j), and ball[c][k] (`_balls`)
+    is the bitset of points at code k from point c.  The candidates for
+    point i are the free points in ball[images[j]][code[i][j]] for every
+    placed j < i, walked in ascending order, so each found tuple is an
+    isometry by construction and the tuples come in lexicographic order.
+    Returns them with the attempts: the free points at each node visited,
+    that is every candidate a pair-by-pair check would have tried.  The
+    search keeps its own stack, so its depth is not bounded by Python's
+    recursion limit.
+    """
+    ball = _balls(code)
     n_points, root = len(code), len(images)
     found: list[tuple[int, ...]] = []
     free = (1 << n_points) - 1 - sum(1 << c for c in images)
@@ -196,7 +203,7 @@ class BetweennessReport:
             "triples": self.triples,
             "mismatches": self.mismatches,
             "ok": self.ok,
-            "witnesses": self.first_mismatches,
+            "witnesses": list(self.first_mismatches),
         }
 
 
@@ -206,28 +213,44 @@ def exhaustive_betweenness_check(q: int, n: int,
 
     The exhaustive run is itself the ground truth: the report counts
     disagreements (expected 0) over all q**(3n) triples, in x, z, y order.
-    The metric side, d(x, y) = d(x, z) + d(z, y), is read off one coded
-    table of the (q**n)**2 one-norm distances: plus[a][b] is the code of
-    value a + value b, or -1 when that sum is no distance.  The coordinate
-    side is a `coordinate_between` call per triple.
+    Each (x, z) pair builds two bitsets over y and walks no y.  The metric
+    set, the y with d(x, y) = d(x, z) + d(z, y), is the union of ball[x][k]
+    & ball[z][b] (`_balls`, over one coded table of the (q**n)**2 one-norm
+    distances) for the (k, b) in plus[code(x, z)]: plus[a] pairs each code b
+    with the code k of value a + value b, where that sum is a distance.  The
+    coordinate set is the intersection of same[i][z_i], the y with
+    y_i = z_i, over the i where x and z differ.  The triples that disagree
+    are the bits of the two sets' XOR.
     """
     require_type("dimension", n, int)
     EnumerationTooLargeError.check(q, 3 * n, DEFAULT_TRIPLE_CAP if cap is None else cap,
                                    f"triples of F_{q}^{n}")
     points, code, codes = _space(q, n, NormSpec.one())
-    plus = [[codes.get(a + b, -1) for b in codes] for a in codes]
+    plus = [[(codes[a + d], b) for b, d in enumerate(codes) if a + d in codes] for a in codes]
+    ball, raw = _balls(code), [point._raw_values() for point in points]
+    same: list[dict] = [{} for _ in range(n)]
+    for p, values in enumerate(raw):
+        for i, v in enumerate(values):
+            same[i][v] = same[i].get(v, 0) | 1 << p
+    everywhere = (1 << len(points)) - 1
     report = BetweennessReport(q=q, n=n)
-    for x, cx in zip(points, code):
-        for z, cz, cxz in zip(points, code, cx):
-            sums = plus[cxz]
-            for y, cxy, czy in zip(points, cx, cz):
-                metric = cxy == sums[czy]
-                coord = coordinate_between(x, z, y)
-                if metric != coord:
-                    report.mismatches += 1
-                    if len(report.first_mismatches) < WITNESS_LIMIT:
-                        report.first_mismatches.append({"x": str(x), "z": str(z), "y": str(y),
-                                                        "metric": metric, "coordinate": coord})
+    for x, xv, bx, cx in zip(points, raw, ball, code):
+        for z, zv, bz, cxz in zip(points, raw, ball, cx):
+            metric = 0
+            for k, b in plus[cxz]:
+                metric |= bx[k] & bz[b]
+            coord = everywhere
+            for column, a, c in zip(same, xv, zv):
+                if a != c:
+                    coord &= column[c]
+            diff = metric ^ coord
+            report.mismatches += diff.bit_count()
+            while diff and len(report.first_mismatches) < WITNESS_LIMIT:
+                y = (diff & -diff).bit_length() - 1
+                diff &= diff - 1
+                report.first_mismatches.append(
+                    {"x": str(x), "z": str(z), "y": str(points[y]),
+                     "metric": bool(metric >> y & 1), "coordinate": bool(coord >> y & 1)})
     return report
 
 
@@ -254,7 +277,7 @@ class ClosureReport:
             "inverses_ok": self.inverses_ok,
             "compositions_checked": self.compositions_checked,
             "ok": self.ok,
-            "missing": self.missing,
+            "missing": list(self.missing),
         }
 
 

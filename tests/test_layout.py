@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -220,3 +221,17 @@ def test_value_classes_are_slotted(name):
     assert type(instance).__name__ == name
     assert "__slots__" in type(instance).__dict__
     assert not hasattr(instance, "__dict__")
+
+
+@pytest.mark.parametrize("name, keys", [("AxiomReport", ["violations"]),
+                                        ("IsometryReport", ["violations", "collisions"]),
+                                        ("BetweennessReport", ["witnesses"]),
+                                        ("ClosureReport", ["missing"])])
+def test_a_report_payload_shares_no_list_with_its_report(name, keys):
+    report = _instances()[name]
+    payload, ok = report.to_json_dict(), report.ok
+    before = json.dumps(payload)
+    for key in keys:
+        payload[key].append({})
+    assert report.ok == ok
+    assert json.dumps(report.to_json_dict()) == before

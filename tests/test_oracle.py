@@ -20,6 +20,7 @@ from ultranorm import (
     UnderdeterminedError,
     Vector,
     axial_isometry_count,
+    coordinate_between,
     decompose,
     enumerate_isometries,
     enumerate_space,
@@ -198,7 +199,8 @@ def test_betweenness_triple_cap():
     assert err.value.size == 125**3
 
 
-@pytest.mark.parametrize("q, n, expected", [(2, 2, 8), (3, 2, 72), (2, 3, 96)])
+@pytest.mark.parametrize("q, n, expected", [(2, 2, 8), (3, 2, 72), (2, 3, 96), (5, 2, 800),
+                                           (2, 4, 800)])
 def test_betweenness_mismatches_are_counted_and_witnessed_in_triple_order(
         monkeypatch, q, n, expected):
     # Under the sup distance a coordinate mixture need not be metrically
@@ -221,6 +223,25 @@ def test_betweenness_mismatches_are_counted_and_witnessed_in_triple_order(
                 witnesses.append({"x": ",".join(map(str, x)), "z": ",".join(map(str, z)),
                                   "y": ",".join(map(str, y)), "metric": metric,
                                   "coordinate": coordinate})
+    assert mismatches == expected
+    assert exhaustive_betweenness_check(q, n).to_json_dict() == {
+        "q": q, "n": n, "triples": q ** (3 * n), "mismatches": expected, "ok": False,
+        "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("q, n, expected", [(2, 1, 2), (2, 3, 296), (3, 2, 504)])
+def test_betweenness_coordinate_side_matches_coordinate_between_on_every_triple(
+        monkeypatch, q, n, expected):
+    # Under a zero distance every triple is metrically between, so the
+    # mismatches are exactly the triples that `coordinate_between` refuses.
+    monkeypatch.setattr(ultranorm.oracle, "distance", lambda x, y, spec: 0)
+    mismatches, witnesses = 0, []
+    for x, z, y in itertools.product(enumerate_space(FieldSpec.gf(q), n), repeat=3):
+        if not coordinate_between(x, z, y):
+            mismatches += 1
+            if len(witnesses) < 10:
+                witnesses.append({"x": str(x), "z": str(z), "y": str(y), "metric": True,
+                                  "coordinate": False})
     assert mismatches == expected
     assert exhaustive_betweenness_check(q, n).to_json_dict() == {
         "q": q, "n": n, "triples": q ** (3 * n), "mismatches": expected, "ok": False,
