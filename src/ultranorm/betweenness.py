@@ -17,18 +17,48 @@ import itertools
 
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError, require_type)
-from .fields import Magnitude, _Immutable
+from .fields import Magnitude, Scalar, _exponent, _Immutable
 from .spaces import NormSpec, Vector, distance
 
 _ONE = NormSpec.one()
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
-    """Exact test of ||x - y||_1 = ||x - z||_1 + ||y - z||_1, in integers:
-    the three distances' numerators are cross-multiplied by their denominators."""
-    d, a, b = distance(x, y, _ONE), distance(x, z, _ONE), distance(y, z, _ONE)
-    return (d.numerator * a.denominator * b.denominator
-            == (a.numerator * b.denominator + b.numerator * a.denominator) * d.denominator)
+    """Exact test of ||x - y||_1 = ||x - z||_1 + ||z - y||_1 in one pass over
+    the coordinates: both sides are sums of p**e_i, compared as integers
+    p**(e_i - lo) over the smallest exponent lo, with no `distance` call and
+    no Fraction.  Where z_i is x_i or y_i itself, e(x_i, y_i) is the one
+    nonzero term of its coordinate on each side, so one exponent is read."""
+    Vector._check(x, y)
+    x._check(z)
+    p = x.field._p
+    whole, parts = [], []   # the exponents of x - y, and of x - z and z - y
+    for a, c, b in zip(x.coords, z.coords, y.coords):
+        e = _exponent_of_difference(a, b, p)
+        if e is not None:
+            whole.append(e)
+        if c is a or c is b:   # segment points share their endpoints' scalars
+            if e is not None:
+                parts.append(e)
+        else:
+            for f in (_exponent_of_difference(a, c, p), _exponent_of_difference(c, b, p)):
+                if f is not None:
+                    parts.append(f)
+    lo = min(whole + parts, default=0)
+    return sum(p ** (e - lo) for e in whole) == sum(p ** (e - lo) for e in parts)
+
+
+def _exponent_of_difference(a: Scalar, b: Scalar, p: int) -> int | None:
+    """e with |a - b| = p**e, None when a = b, by `_difference_key`'s rule:
+    the larger kept exponent where they differ (isosceles), else
+    `_exponent`.  It serves only `is_metrically_between`: `_difference_key`
+    keeps the rule inline, since a call per coordinate there slows
+    `verify_isometry`."""
+    if a is b:
+        return None
+    if (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
+        return eb if ea is None else ea if eb is None else max(ea, eb)
+    return None if ea is None else _exponent(a.value, b.value, p)
 
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:

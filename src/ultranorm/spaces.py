@@ -13,7 +13,9 @@ to an exact key that is equal exactly when the norms are
 property), so only coordinates of equal |.| go through the integer formula
 of `fields._exponent`: over gf:q and trivial:q, pairs of nonzero values.
 `distance` and `norm` build one Fraction per result from the key; callers
-that only compare norms compare keys and build none.
+that only compare norms compare keys and build none.  `is_metrically_between`
+reads the exponents by the same rule and compares its one-norm sums as
+integers in one pass, with no `distance` call.
 """
 
 from __future__ import annotations

@@ -141,6 +141,18 @@ CASES = {
                                      lambda: coordinate_between(3, v(F3, 1), v(F3, 1))),
     "between-int-first": (InvalidInputError,
                           lambda: is_metrically_between(3, v(F3, 1), v(F3, 1))),
+    # is_metrically_between checks x with y, then x with z
+    "between-int-second": (InvalidInputError,
+                           lambda: is_metrically_between(v(F3, 1), 3, v(F3, 1))),
+    "between-int-third": (InvalidInputError,
+                          lambda: is_metrically_between(v(F3, 1), v(F3, 1), 3)),
+    "between-foreign-z": (FieldMismatchError,
+                          lambda: is_metrically_between(v(F3, 1, 2), v(F5, 1, 2), v(F3, 0, 0))),
+    "between-z-dim": (DimensionMismatchError,
+                      lambda: is_metrically_between(v(F3, 1, 2), v(F3, 1, 2, 0), v(F3, 0, 0))),
+    "between-foreign-z-short-y": (DimensionMismatchError,
+                                  lambda: is_metrically_between(v(F3, 1, 2), v(F5, 1, 2),
+                                                                v(F3, 0))),
     "differing-positions-int-first": (InvalidInputError,
                                       lambda: differing_positions(3, v(F3, 1))),
     "norm-int-vector": (InvalidInputError, lambda: norm(3, NormSpec.one())),
@@ -310,6 +322,10 @@ NAMED = {key: "vector operand must be a Vector, got int"
          for key in CASES if key.endswith("-int-first") or key == "norm-int-vector"}
 NAMED["scalar-norm-field"] = "scalar field must be a FieldSpec, got NormSpec"
 NAMED["uniqueness-int-second"] = NAMED["valuation-profile-int"] = NAMED["uniqueness-int-first"]
+NAMED["between-int-second"] = NAMED["between-int-third"] = NAMED["uniqueness-int-first"]
+NAMED["between-foreign-z"] = "mixing gf:3 with gf:5"
+NAMED["between-z-dim"] = "dimension 2 vs 3"
+NAMED["between-foreign-z-short-y"] = "dimension 2 vs 1"
 NAMED["valuation-int"] = "valuation operand must be a Scalar, got int"
 NAMED.update({key: "norm must be a NormSpec, got str" for key in CASES
               if key.endswith("-str-spec")})

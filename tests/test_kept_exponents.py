@@ -4,8 +4,9 @@ Where the kept exponents of two coordinates differ, |a - b| is the larger
 |.| (the isosceles property); only coordinates of equal |.| go through
 `fields._exponent`.  `distance` and `norm` are held to `naive.padic_abs`
 and `naive.trivial_abs` on seeded vectors that mix both cases, zeros and
-scalars shared by both operands.  `is_metrically_between` compares its
-three distances in integers and is held to the `Fraction` sum.
+scalars shared by both operands.  `is_metrically_between` sums the
+exponents of all three differences in one integer pass and is held to the
+`Fraction` sum of the three distances.
 """
 
 from __future__ import annotations
@@ -36,21 +37,23 @@ def _unit(p: int, rng: random.Random) -> Fraction:
     return Fraction(rng.choice(units) * rng.choice((-1, 1)), rng.choice(units))
 
 
-def _value(field: FieldSpec, rng: random.Random):
+def _value(field: FieldSpec, rng: random.Random, far: bool = False):
     """A raw value: zero one time in five, else a unit times p**k, k in [-2, 2],
-    so two draws often share their |.|."""
+    so two draws often share their |.|; |k| in [1000, 1200] when far."""
     if field.kind == "gf":
         return rng.randrange(field.prime)
     if rng.random() < 0.2:
         return Fraction(0)
     p = field.prime or 7
-    return _unit(p, rng) * Fraction(p) ** rng.randint(-2, 2)
+    k = rng.choice((-1, 1)) * rng.randint(1000, 1200) if far else rng.randint(-2, 2)
+    return _unit(p, rng) * Fraction(p) ** k
 
 
-def _pair(field: FieldSpec, n: int, rng: random.Random) -> tuple[Vector, Vector]:
+def _pair(field: FieldSpec, n: int, rng: random.Random,
+          far: bool = False) -> tuple[Vector, Vector]:
     """x and y; some of y's coordinates are x's own Scalar objects, some equal
     values in new objects, some x's value times a unit (equal |.|)."""
-    xs = [Scalar(field, _value(field, rng)) for _ in range(n)]
+    xs = [Scalar(field, _value(field, rng, far)) for _ in range(n)]
     ys = []
     for a in xs:
         roll = rng.random()
@@ -61,7 +64,7 @@ def _pair(field: FieldSpec, n: int, rng: random.Random) -> tuple[Vector, Vector]
         elif roll < 0.5 and field.kind == "padic":
             ys.append(Scalar(field, a.value * _unit(field.prime, rng)))
         else:
-            ys.append(Scalar(field, _value(field, rng)))
+            ys.append(Scalar(field, _value(field, rng, far)))
     return Vector(field, tuple(xs)), Vector(field, tuple(ys))
 
 
@@ -127,8 +130,39 @@ def test_metric_betweenness_matches_the_fraction_sum(tag):
     assert seen == {True, False}
 
 
-def test_betweenness_calls_distance_three_times(monkeypatch):
-    """The benchmark's tracer counts `spaces.distance` calls through this name."""
+@pytest.mark.parametrize("tag", FIELDS + ["gf:2"])
+def test_betweenness_by_identity_matches_the_distance_sum(tag):
+    """z's coordinates are x's or y's own scalars (one exponent read), equal
+    values in fresh scalars, or other values; x = y in distinct objects; and
+    exponents far from 0, so the common lo is too."""
+    field = FieldSpec.parse(tag)
+    rng = random.Random("identity " + tag)
+    seen = {}
+    for _ in range(80):
+        far = rng.random() < 0.25
+        x, y = _pair(field, rng.randint(1, 4), rng, far)
+        if rng.random() < 0.2:   # x = y by value, no scalar shared
+            y = Vector.make(field, [c.value for c in x.coords])
+        own = Vector(field, tuple(rng.choice(pair) for pair in zip(x.coords, y.coords)))
+        zs = {
+            "own": own,
+            "fresh": Vector.make(field, [c.value for c in own.coords]),
+            "off": _pair(field, x.dim, rng, far)[0],
+            "mixed": Vector(field, tuple(
+                rng.choice((c, Scalar(field, c.value), Scalar(field, _value(field, rng, far))))
+                for c in own.coords)),
+        }
+        for case, z in zs.items():
+            answer = is_metrically_between(x, z, y)
+            assert answer == (distance(x, y, ONE) == distance(x, z, ONE) + distance(z, y, ONE))
+            seen.setdefault(case, set()).add(answer)
+    assert seen["own"] == seen["fresh"] == {True}
+    assert seen["off"] == seen["mixed"] == {True, False}
+
+
+def test_betweenness_makes_no_distance_call(monkeypatch):
+    """The benchmark's tracer counts `spaces.distance` calls through this name,
+    which `minimize_two_point` still calls."""
     assert ultranorm.betweenness.distance is distance
     calls = []
 
@@ -139,6 +173,5 @@ def test_betweenness_calls_distance_three_times(monkeypatch):
     field = FieldSpec.padic(3)
     x, y = Vector.make(field, [0, 1]), Vector.make(field, [3, "1/3"])
     for z in (x, y, Vector.make(field, [0, "1/3"]), Vector.make(field, [9, 9])):
-        calls.clear()
         is_metrically_between(x, z, y)
-        assert len(calls) == 3
+    assert calls == []
