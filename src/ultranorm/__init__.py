@@ -53,7 +53,6 @@ from .oracle import (
     axial_isometry_count,
     enumerate_isometries,
     exhaustive_betweenness_check,
-    group_closure_check,
 )
 from .spaces import (
     NormSpec,
@@ -101,7 +100,6 @@ __all__ = [
     "enumerate_isometries",
     "enumerate_space",
     "exhaustive_betweenness_check",
-    "group_closure_check",
     "is_metrically_between",
     "minimize_two_point",
     "norm",

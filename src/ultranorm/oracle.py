@@ -7,7 +7,7 @@ the bitset of points at that distance, and intersects them as points are
 placed; betweenness is checked over all q**(3n) triples with two bitsets
 over y per (x, z) pair, the metric side built from those same bitsets and
 the coordinate side from the points with a given value at a given
-coordinate; and the found isometry sets are checked for group closure.
+coordinate.
 Structural facts (the taxicab isometry group is S_n permuting coordinates,
 a bijection of F_q per coordinate, and a translation, giving n! * (q!)**n
 maps) are verified against these enumerations, never assumed by them.
@@ -251,60 +251,4 @@ def exhaustive_betweenness_check(q: int, n: int,
                 report.first_mismatches.append(
                     {"x": str(x), "z": str(z), "y": str(points[y]),
                      "metric": bool(metric >> y & 1), "coordinate": bool(coord >> y & 1)})
-    return report
-
-
-class ClosureReport:
-    """Group sanity over an enumerated isometry set."""
-
-    __slots__ = ("size", "has_identity", "closed", "inverses_ok", "compositions_checked",
-                 "missing")
-
-    def __init__(self, size: int):
-        self.size, self.has_identity, self.closed, self.inverses_ok = size, False, True, True
-        self.compositions_checked = 0
-        self.missing: list = []
-
-    @property
-    def ok(self) -> bool:
-        return self.has_identity and self.closed and self.inverses_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "has_identity": self.has_identity,
-            "closed": self.closed,
-            "inverses_ok": self.inverses_ok,
-            "compositions_checked": self.compositions_checked,
-            "ok": self.ok,
-            "missing": list(self.missing),
-        }
-
-
-def group_closure_check(result: EnumerationResult) -> ClosureReport:
-    """Assert the enumerated set is a group: identity, closure, inverses.
-
-    Maps are composed as index permutations ((f o g)[i] = f[g[i]]) and looked
-    up in the enumerated set.
-    """
-    require_type("enumeration result", result, EnumerationResult)
-    perms = set(result.isometries)
-    n_points = len(result.points)
-    report = ClosureReport(size=len(perms))
-    report.has_identity = tuple(range(n_points)) in perms
-    report.compositions_checked = len(result.isometries) ** 2
-    for f in result.isometries:
-        inv = [0] * n_points
-        for i, fi in enumerate(f):
-            inv[fi] = i
-        if tuple(inv) not in perms:
-            report.inverses_ok = False
-            if len(report.missing) < WITNESS_LIMIT:
-                report.missing.append({"inverse_of": list(f)})
-        for g in result.isometries:
-            comp = tuple(f[g[i]] for i in range(n_points))
-            if comp not in perms:
-                report.closed = False
-                if len(report.missing) < WITNESS_LIMIT:
-                    report.missing.append({"compose": [list(f), list(g)]})
     return report

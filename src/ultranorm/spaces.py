@@ -24,7 +24,9 @@ import itertools
 from fractions import Fraction
 
 from .errors import (
+    DEFAULT_ENUM_CAP,
     DimensionMismatchError,
+    EnumerationTooLargeError,
     FieldMismatchError,
     InvalidInputError,
     ParseError,
@@ -263,13 +265,14 @@ def valuation_profile(v: Vector) -> tuple[Magnitude, ...]:
 
 
 def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
-    """All q**n vectors of F_q^n in lexicographic coordinate order."""
+    """All q**n <= DEFAULT_ENUM_CAP vectors of F_q^n in lexicographic coordinate order."""
     require_type("field", field, FieldSpec)
     require_type("dimension", n, int)
     if field.kind != GF:
         raise InvalidInputError(f"cannot enumerate infinite space over {field}")
     if n < 1:
         raise InvalidInputError(f"dimension n must be at least 1, got {n}")
+    EnumerationTooLargeError.check(field.prime, n, DEFAULT_ENUM_CAP, f"F_{field.prime}^{n}")
     return [Vector(field, coords) for coords in itertools.product(field.elements(), repeat=n)]
 
 

@@ -199,6 +199,13 @@ def test_domain_errors_exit_one_with_structured_json(capsys):
     assert payload["error"]["size"] == 8
 
 
+@pytest.mark.parametrize("command", ["enumerate", "check-betweenness"])
+def test_a_huge_cap_does_not_lift_the_space_cap(capsys, command):
+    code, payload = run_json(capsys, command, "--q", "2", "--n", "20", "--cap", str(10 ** 30))
+    assert code == 1 and payload["error"]["type"] == "enumeration-too-large"
+    assert (payload["error"]["size"], payload["error"]["cap"]) == (2 ** 20, 2 ** 16)
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "--field", "padic:3"])  # missing required flags

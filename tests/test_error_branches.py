@@ -19,6 +19,7 @@ from ultranorm import (
     AxialIsometry,
     BetweennessReport,
     DimensionMismatchError,
+    EnumerationTooLargeError,
     FieldMismatchError,
     FieldSpec,
     InvalidInputError,
@@ -39,7 +40,6 @@ from ultranorm import (
     enumerate_isometries,
     enumerate_space,
     exhaustive_betweenness_check,
-    group_closure_check,
     is_metrically_between,
     norm,
     segment,
@@ -200,7 +200,6 @@ CASES = {
                                  lambda: TableMap.from_residues("gf:3", [0, 2, 1])),
     "table-pairs-str-field": (InvalidInputError, lambda: TableMap.from_pairs("gf:3", [(0, 1)])),
     # an object argument of the wrong class, not an AttributeError
-    "closure-str-result": (InvalidInputError, lambda: group_closure_check("x")),
     "probe-from-int-isometry": (InvalidInputError,
                                 lambda: ProbeMap.from_isometry(3, [v(F3, 0)])),
     "compose-int-isometry": (InvalidInputError,
@@ -303,6 +302,8 @@ CASES = {
     "parse-huge-exponent": (ParseError, lambda: Vector.parse(Q5, "1e300000")),
     "parse-huge-negative-exponent": (ParseError, lambda: Vector.parse(Q5, "1e-300000")),
     "norm-parse-huge-weight-exponent": (ParseError, lambda: NormSpec.parse("wsup:1e300000")),
+    # F_2^64 is refused by its size before a point is listed
+    "enumerate-space-too-large": (EnumerationTooLargeError, lambda: enumerate_space(F2, 64)),
 }
 
 
@@ -335,7 +336,6 @@ NAMED.update({key: "probe map must be a ProbeMap, got int" for key in CASES
 NAMED.update({key: "field must be a FieldSpec, got str" for key in (
     "check-axioms-str-field", "check-valuation-str-field", "check-valuation-nonsense-field",
     "enumerate-space-str-field", "table-residues-str-field", "table-pairs-str-field")})
-NAMED["closure-str-result"] = "enumeration result must be an EnumerationResult, got str"
 NAMED["probe-from-int-isometry"] = "axial isometry must be an AxialIsometry, got int"
 NAMED["compose-int-isometry"] = NAMED["probe-from-int-isometry"]
 NAMED["enumerate-int-centred"] = "centred flag must be a bool, got int"
@@ -373,6 +373,8 @@ NAMED["probe-from-int-points"] = "probe points must be a list or tuple, got int"
 NAMED["enumerate-space-bool-dim"] = NAMED["zero-bool-dim"]
 NAMED["enumerate-space-str-dim"] = NAMED["zero-str-dim"]
 NAMED["enumerate-space-float-dim"] = "dimension must be an int, got float"
+NAMED["enumerate-space-too-large"] = (f"enumeration of {2 ** 64} elements exceeds cap {2 ** 16}"
+                                      " (F_2^64)")
 NAMED["sphere-shift-int-probes"] = NAMED["probe-from-int-points"]
 NAMED["make-str-values"] = "vector values must be a list or tuple, got str"
 NAMED["make-int-values"] = "vector values must be a list or tuple, got int"
@@ -403,6 +405,13 @@ def test_a_value_of_the_wrong_class_is_named(key):
     with pytest.raises(CASES[key][0]) as info:
         CASES[key][1]()
     assert str(info.value) == NAMED[key]
+
+
+def test_enumerate_space_is_bounded_by_the_enum_cap():
+    with pytest.raises(EnumerationTooLargeError) as info:
+        CASES["enumerate-space-too-large"][1]()
+    assert (info.value.size, info.value.cap) == (2 ** 64, 2 ** 16)
+    assert len(enumerate_space(F2, 16)) == 2 ** 16
 
 
 def test_norm_and_distance_name_a_vector_operand_before_the_norm():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,18 +19,16 @@ from ultranorm import (
     ProbeMap,
     TableMap,
     UnderdeterminedError,
-    Vector,
     axial_isometry_count,
     coordinate_between,
     decompose,
     enumerate_isometries,
     enumerate_space,
     exhaustive_betweenness_check,
-    group_closure_check,
 )
 import ultranorm.betweenness
 import ultranorm.oracle
-from ultranorm.oracle import EnumerationResult, _search
+from ultranorm.oracle import _search
 
 from naive import (gf_one_dist, gf_space, gf_sup_dist, is_axial, isometries_by_filter,
                    wreath_order)
@@ -270,70 +269,31 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert attempts == (size - 1) * size // 2
 
 
-def test_group_closure_of_enumerated_sets():
-    for q, n in ((2, 2), (3, 2)):
-        report = group_closure_check(enumerate_isometries(q, n))
-        assert report.ok
-        assert report.has_identity and report.closed and report.inverses_ok
-    # sup-norm bijection group (S_4) is a group too
-    report = group_closure_check(enumerate_isometries(2, 2, SUP))
-    assert report.ok and report.size == 24
+COUNTED_SPACES = [
+    *[(q, n, ONE, gf_one_dist(q), centred, None, wreath_order(q, n, centred))
+      for q, n in ((2, 2), (3, 2), (2, 3)) for centred in (False, True)],
+    (2, 4, ONE, gf_one_dist(2), False, 16, wreath_order(2, 4)),
+    *[(q, n, SUP, gf_sup_dist(q), centred, None, math.factorial(q ** n - centred))
+      for q, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1)) for centred in (False, True)],
+]
 
 
-def test_group_closure_singleton_identity():
-    f2 = FieldSpec.gf(2)
-    points = tuple(enumerate_space(f2, 2))
-    result = EnumerationResult(
-        q=2, n=2, norm=ONE, centred=False, points=points,
-        isometries=(tuple(range(4)),), attempts=1, axial=1)
-    report = group_closure_check(result)
-    assert report.ok and report.size == 1
-
-
-def test_group_closure_detects_missing_elements():
-    f2 = FieldSpec.gf(2)
-    points = tuple(enumerate_space(f2, 2))
-    # a translation alone: closed under neither composition-with-swap nor
-    # inverse absence... its own inverse is itself (order 2) so drop identity
-    shift = tuple(points.index(p + Vector.make(f2, ["1", "0"])) for p in points)
-    result = EnumerationResult(
-        q=2, n=2, norm=ONE, centred=False, points=points,
-        isometries=(shift,), attempts=1, axial=1)
-    report = group_closure_check(result)
-    assert not report.ok
-    assert not report.has_identity
-
-
-def _no_inverses_result() -> EnumerationResult:
-    points = tuple(enumerate_space(FieldSpec.gf(5), 1))
-    # one of each pair of mutually inverse non-involutions: no inverse is present
-    perms = [p for p in itertools.permutations(range(5))
-             if p < tuple(sorted(range(5), key=p.__getitem__))]
-    return EnumerationResult(
-        q=5, n=1, norm=ONE, centred=False, points=points,
-        isometries=tuple(perms), attempts=1, axial=1)
-
-
-def test_group_closure_keeps_first_ten_missing():
-    report = group_closure_check(_no_inverses_result())
-    assert not report.inverses_ok
-    assert len(report.missing) == 10
-
-
-def test_closure_report_json_keys_and_values():
-    keys = ["size", "has_identity", "closed", "inverses_ok", "compositions_checked", "ok",
-            "missing"]
-    group = group_closure_check(enumerate_isometries(2, 2)).to_json_dict()
-    assert list(group) == keys
-    assert list(group.values()) == [8, True, True, True, 64, True, []]
-    broken = group_closure_check(_no_inverses_result()).to_json_dict()
-    assert list(broken) == keys
-    assert [broken[key] for key in keys[:-1]] == [47, False, False, False, 47 ** 2, False]
-    f = [0, 1, 3, 4, 2]
-    # the first map's missing inverse, then its first nine compositions outside the set
-    assert broken["missing"] == [{"inverse_of": f}] + [{"compose": [f, g]} for g in (
-        [0, 1, 3, 4, 2], [0, 2, 3, 1, 4], [0, 2, 4, 1, 3], [0, 3, 2, 4, 1], [0, 3, 4, 2, 1],
-        [1, 0, 3, 4, 2], [2, 1, 3, 0, 4], [2, 1, 4, 0, 3], [2, 3, 0, 4, 1])]
+@pytest.mark.parametrize("q, n, spec, dist, centred, cap, order", COUNTED_SPACES,
+                         ids=[f"{spec}-F{q}^{n}{'-centred' * centred}"
+                              for q, n, spec, _, centred, _, _ in COUNTED_SPACES])
+def test_found_set_is_the_whole_isometry_group_by_its_count(q, n, spec, dist, centred, cap,
+                                                            order):
+    # distinct distance-preserving bijections, as many as Isom(X) has, are all of Isom(X)
+    result = enumerate_isometries(q, n, spec, centred, cap)
+    space = gf_space(q, n)
+    assert [tuple(c.value for c in point.coords) for point in result.points] == space
+    table = [[dist(x, y) for y in space] for x in space]
+    assert result.count == order == len(set(result.isometries))
+    for perm in result.isometries:
+        assert sorted(perm) == list(range(q ** n))
+        assert perm[0] == 0 or not centred
+        assert all(table[perm[i]][perm[j]] == d for i, row in enumerate(table)
+                   for j, d in enumerate(row))
 
 
 def test_result_json_shape():
@@ -355,10 +315,6 @@ def test_reports_carry_no_clock(check):
     assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
     with pytest.raises(TypeError):
         first.to_json_dict(timing=True)
-
-
-def test_closure_checks_every_ordered_pair():
-    assert group_closure_check(enumerate_isometries(2, 2)).compositions_checked == 8 ** 2
 
 
 def _decomposes(m) -> bool:

@@ -46,7 +46,6 @@ from ultranorm import (
     enumerate_isometries,
     enumerate_space,
     exhaustive_betweenness_check,
-    group_closure_check,
     is_metrically_between,
     minimize_two_point,
     norm,
@@ -127,7 +126,6 @@ VALID = [
     ("axial_isometry_count", axial_isometry_count, (2, 2), {"centred": False}),
     ("enumerate_isometries", enumerate_isometries, (2, 1),
      {"spec": ONE, "centred": False, "cap": 4}),
-    ("group_closure_check", group_closure_check, (ENUMERATION,), {}),
     ("exhaustive_betweenness_check", exhaustive_betweenness_check, (2, 1), {"cap": 64}),
     ("AxiomReport", AxiomReport, ("gf:2",), {}),
     ("SegmentEnumeration", SegmentEnumeration, (X, Y, 2, POINTS), {}),
