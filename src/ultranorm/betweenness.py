@@ -7,7 +7,7 @@ segment of a pair differing in k coordinates therefore has exactly 2**k
 points, and the two-point distance sum ||c - b||_1 + ||b - a||_1 attains its
 minimum ||c - a||_1 exactly on that segment.
 
-Degenerate triples (z = x, z = y, or x = y) satisfy the defining equalities
+Degenerate triples (z = x or z = y) satisfy the defining equalities
 trivially and are reported as between; callers need no case analysis.
 """
 
@@ -17,48 +17,27 @@ import itertools
 
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError, require_type)
-from .fields import Magnitude, Scalar, _exponent, _Immutable
-from .spaces import NormSpec, Vector, distance
+from .fields import Magnitude, _Immutable
+from .spaces import NormSpec, Vector, _difference_key, distance
 
 _ONE = NormSpec.one()
 
 
 def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
-    """Exact test of ||x - y||_1 = ||x - z||_1 + ||z - y||_1 in one pass over
-    the coordinates: both sides are sums of p**e_i, compared as integers
-    p**(e_i - lo) over the smallest exponent lo, with no `distance` call and
-    no Fraction.  Where z_i is x_i or y_i itself, e(x_i, y_i) is the one
-    nonzero term of its coordinate on each side, so one exponent is read."""
+    """Exact test of ||x - y||_1 = ||x - z||_1 + ||z - y||_1, with no
+    `distance` call and no Fraction.  A z whose every coordinate is x_i or
+    y_i itself, as on every point `segment` lists, is between with no
+    arithmetic; otherwise the three one-norm keys of `_difference_key`, each
+    worth total * p**lo, are compared as integers over their smallest lo."""
     Vector._check(x, y)
     x._check(z)
+    if all(c is a or c is b for a, c, b in zip(x.coords, z.coords, y.coords)):
+        return True
     p = x.field._p
-    whole, parts = [], []   # the exponents of x - y, and of x - z and z - y
-    for a, c, b in zip(x.coords, z.coords, y.coords):
-        e = _exponent_of_difference(a, b, p)
-        if e is not None:
-            whole.append(e)
-        if c is a or c is b:   # segment points share their endpoints' scalars
-            if e is not None:
-                parts.append(e)
-        else:
-            for f in (_exponent_of_difference(a, c, p), _exponent_of_difference(c, b, p)):
-                if f is not None:
-                    parts.append(f)
-    lo = min(whole + parts, default=0)
-    return sum(p ** (e - lo) for e in whole) == sum(p ** (e - lo) for e in parts)
-
-
-def _exponent_of_difference(a: Scalar, b: Scalar, p: int) -> int | None:
-    """e with |a - b| = p**e, None when a = b, by `_difference_key`'s rule:
-    the larger kept exponent where they differ (isosceles), else
-    `_exponent`.  It serves only `is_metrically_between`: `_difference_key`
-    keeps the rule inline, since a call per coordinate there slows
-    `verify_isometry`."""
-    if a is b:
-        return None
-    if (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
-        return eb if ea is None else ea if eb is None else max(ea, eb)
-    return None if ea is None else _exponent(a.value, b.value, p)
+    keys = [_difference_key(u, v.coords, _ONE) for u, v in ((x, y), (x, z), (z, y))]
+    lo = min((key[1] for key in keys if key), default=0)
+    whole, left, right = (0 if key is None else key[0] * p ** (key[1] - lo) for key in keys)
+    return whole == left + right
 
 
 def coordinate_between(x: Vector, z: Vector, y: Vector) -> bool:

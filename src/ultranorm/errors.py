@@ -17,7 +17,7 @@ DEFAULT_SPACE_CAP = 9          # points; (q^n)! bijections would dwarf anything 
 # (q^n)! of them: 7! = 5040, the most a one-norm search reaches at its cap.
 DEFAULT_ULTRAMETRIC_SPACE_CAP = 7
 DEFAULT_TRIPLE_CAP = 10 ** 7   # betweenness triples
-# verify checks every pair of probes: 1024 probes at most
+# pairwise work: verify's probe pairs, the oracle's distance table; 1024 points at most
 VERIFY_CAP = 2 ** 20
 
 # Reports keep this many witnesses of each kind and count the rest.

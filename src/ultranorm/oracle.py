@@ -18,7 +18,8 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import (DEFAULT_SPACE_CAP, DEFAULT_TRIPLE_CAP, DEFAULT_ULTRAMETRIC_SPACE_CAP,
-                     WITNESS_LIMIT, EnumerationTooLargeError, InvalidInputError, require_type)
+                     VERIFY_CAP, WITNESS_LIMIT, EnumerationTooLargeError, InvalidInputError,
+                     require_type)
 from .fields import FieldSpec
 from .isometry import DecompositionError, ProbeMap, UnderdeterminedError, decompose
 from .spaces import NormSpec, Vector, distance, enumerate_space
@@ -92,6 +93,7 @@ def _space(q: int, n: int, spec: NormSpec) -> tuple[list[Vector], list[list[int]
     """F_q^n (lexicographic, origin first), code[i][j] = the code of d(i, j) under
     spec, each distinct value coded in order of first appearance, and the codes by value."""
     points, codes = enumerate_space(FieldSpec.gf(q), n), {}
+    EnumerationTooLargeError.check(len(points), 2, VERIFY_CAP, f"F_{q}^{n} distances")
     return points, [[codes.setdefault(distance(x, y, spec), len(codes)) for y in points]
                     for x in points], codes
 

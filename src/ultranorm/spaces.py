@@ -13,9 +13,8 @@ to an exact key that is equal exactly when the norms are
 property), so only coordinates of equal |.| go through the integer formula
 of `fields._exponent`: over gf:q and trivial:q, pairs of nonzero values.
 `distance` and `norm` build one Fraction per result from the key; callers
-that only compare norms compare keys and build none.  `is_metrically_between`
-reads the exponents by the same rule and compares its one-norm sums as
-integers in one pass, with no `distance` call.
+that only compare norms compare keys and build none, as
+`is_metrically_between` does with its three one-norm keys.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     p = x.field._p
     exps = {}   # coordinate index -> e, where a != b
     for i, (a, b) in enumerate(zip(x.coords, ys)):
-        if a is not b:   # segment points share their endpoints' scalars
+        if a is not b:   # enumerated points share field.elements(), apply plans their images
             if (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
                 e = eb if ea is None else ea if eb is None else max(ea, eb)   # isosceles
             else:

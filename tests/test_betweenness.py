@@ -45,6 +45,10 @@ def test_metric_betweenness_known_triples():
     assert not is_metrically_between(x, _v(Q3, "2,2"), y)
     assert is_metrically_between(x, x, y)
     assert is_metrically_between(x, y, y)
+    # x = y, by identity and by value: only z = x is between, by either definition
+    for same in (x, _v(Q3, "1,0")):
+        assert not is_metrically_between(x, _v(Q3, "0,0"), same)
+        assert not coordinate_between(x, _v(Q3, "0,0"), same)
 
 
 def test_coordinate_betweenness_known_triples():

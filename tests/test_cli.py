@@ -206,6 +206,16 @@ def test_a_huge_cap_does_not_lift_the_space_cap(capsys, command):
     assert (payload["error"]["size"], payload["error"]["cap"]) == (2 ** 20, 2 ** 16)
 
 
+@pytest.mark.parametrize("command, n, cap", [
+    ("enumerate", 16, 2 ** 16),
+    ("check-betweenness", 11, 10 ** 30),
+])
+def test_the_oracle_distance_table_is_capped(capsys, command, n, cap):
+    code, payload = run_json(capsys, command, "--q", "2", "--n", str(n), "--cap", str(cap))
+    assert code == 1 and payload["error"]["type"] == "enumeration-too-large"
+    assert (payload["error"]["size"], payload["error"]["cap"]) == (2 ** (2 * n), 2 ** 20)
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "--field", "padic:3"])  # missing required flags

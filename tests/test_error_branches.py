@@ -49,6 +49,7 @@ from ultranorm import (
     valuation_profile,
     verify_isometry,
 )
+from ultranorm import oracle
 from ultranorm.sampling import grid_from_values, norm_axiom_samples, random_scalar, random_vector
 
 Q3 = FieldSpec.parse("padic:3")
@@ -304,6 +305,9 @@ CASES = {
     "norm-parse-huge-weight-exponent": (ParseError, lambda: NormSpec.parse("wsup:1e300000")),
     # F_2^64 is refused by its size before a point is listed
     "enumerate-space-too-large": (EnumerationTooLargeError, lambda: enumerate_space(F2, 64)),
+    # F_2^11's 2048 points are listed, but their 2**22 distances are refused
+    "oracle-table-too-large": (EnumerationTooLargeError,
+                               lambda: oracle._space(2, 11, NormSpec.one())),
 }
 
 
@@ -393,6 +397,8 @@ NAMED["norm-wsup-int-weights"] = NAMED["wsup-int-weights"]
 NAMED["betweenness-none-n"] = "dimension must be an int, got NoneType"
 NAMED["betweenness-report-str-q"] = "field size must be an int, got str"
 NAMED["isometry-report-str-probes"] = "probe count must be an int, got str"
+NAMED["oracle-table-too-large"] = \
+    "enumeration of 4194304 elements exceeds cap 1048576 (F_2^11 distances)"
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 NAMED.update({key: f"exponent of {token!r} is past the {_LIMIT}-digit limit"
               for key, token in (("parse-huge-exponent", "1e300000"),
@@ -412,6 +418,12 @@ def test_enumerate_space_is_bounded_by_the_enum_cap():
         CASES["enumerate-space-too-large"][1]()
     assert (info.value.size, info.value.cap) == (2 ** 64, 2 ** 16)
     assert len(enumerate_space(F2, 16)) == 2 ** 16
+
+
+def test_the_oracle_distance_table_is_bounded_by_the_verify_cap():
+    with pytest.raises(EnumerationTooLargeError) as info:
+        CASES["oracle-table-too-large"][1]()
+    assert (info.value.size, info.value.cap) == (2 ** 22, 2 ** 20)
 
 
 def test_norm_and_distance_name_a_vector_operand_before_the_norm():

@@ -4,8 +4,9 @@ Where the kept exponents of two coordinates differ, |a - b| is the larger
 |.| (the isosceles property); only coordinates of equal |.| go through
 `fields._exponent`.  `distance` and `norm` are held to `naive.padic_abs`
 and `naive.trivial_abs` on seeded vectors that mix both cases, zeros and
-scalars shared by both operands.  `is_metrically_between` sums the
-exponents of all three differences in one integer pass and is held to the
+scalars shared by both operands.  `is_metrically_between` answers True
+with no exponent read for a z made of its endpoints' own scalars, and
+otherwise compares the three one-norm keys as integers; it is held to the
 `Fraction` sum of the three distances.
 """
 
@@ -20,7 +21,8 @@ import pytest
 
 import ultranorm.betweenness
 from naive import one_norm, padic_abs, sup_norm, trivial_abs
-from ultranorm import FieldSpec, NormSpec, Vector, distance, is_metrically_between, norm
+from ultranorm import (FieldSpec, NormSpec, Vector, distance, is_metrically_between, norm,
+                       segment)
 from ultranorm.fields import Scalar, _exponent
 
 FIELDS = ["padic:2", "padic:3", "padic:5", "gf:5", "trivial:q"]
@@ -132,7 +134,7 @@ def test_metric_betweenness_matches_the_fraction_sum(tag):
 
 @pytest.mark.parametrize("tag", FIELDS + ["gf:2"])
 def test_betweenness_by_identity_matches_the_distance_sum(tag):
-    """z's coordinates are x's or y's own scalars (one exponent read), equal
+    """z's coordinates are x's or y's own scalars (no exponent read), equal
     values in fresh scalars, or other values; x = y in distinct objects; and
     exponents far from 0, so the common lo is too."""
     field = FieldSpec.parse(tag)
@@ -158,6 +160,28 @@ def test_betweenness_by_identity_matches_the_distance_sum(tag):
             seen.setdefault(case, set()).add(answer)
     assert seen["own"] == seen["fresh"] == {True}
     assert seen["off"] == seen["mixed"] == {True, False}
+
+
+@pytest.mark.parametrize("tag", ["padic:3", "gf:5"])
+def test_a_segment_point_is_between_with_no_exponent_read(tag, monkeypatch):
+    """Every point `segment` lists is made of its endpoints' own scalars, so
+    the check reads no exponent; one fresh scalar of equal value sends it
+    through the keys, which answer the same."""
+    field = FieldSpec.parse(tag)
+    rng = random.Random("segment " + tag)
+    pairs = [_pair(field, rng.randint(1, 4), rng) for _ in range(40)]
+
+    def unread(self):
+        raise AssertionError("a kept exponent was read")
+    monkeypatch.setattr(Scalar, "_abs_exponent", unread)
+    triples = [(x, z, y) for x, y in pairs for z in segment(x, y).points]
+    assert all(is_metrically_between(x, z, y) for x, z, y in triples)
+    monkeypatch.undo()
+    for x, z, y in triples:
+        coords = list(z.coords)
+        i = rng.randrange(len(coords))
+        coords[i] = Scalar(field, coords[i].value)
+        assert is_metrically_between(x, Vector(field, tuple(coords)), y)
 
 
 def test_betweenness_makes_no_distance_call(monkeypatch):

@@ -9,12 +9,15 @@ value and report class is slotted: its instances carry no `__dict__`.  Only
 one clock.  Only `__main__.py` runs the CLI when executed: `python -m ultranorm`
 and the `ultranorm` console script are its two ways in.  Only `fields.py`
 calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
-one integer kernel, `fields._exponent`.  Every public function and class is
-used elsewhere in the package or exported: test-only helpers live in
-`tests/gen.py`, and the oracles in `tests/naive.py` import neither the
-package nor `gen`.  A class reads JSON (`from_json`) only if `cli.py` calls
-that reader: the package reads JSON where the CLI does.  No module names
-`float`: no binary float may reach a coordinate, nor any output.
+one integer kernel, `fields._exponent`.  Only `fields.py` and `spaces.py`
+name `_abs_exponent`: outside `fields.py` only the norm keys read a kept
+exponent, so the isosceles rule has one home, `spaces._difference_key`.
+Every public function and class is used elsewhere in the package or
+exported: test-only helpers live in `tests/gen.py`, and the oracles in
+`tests/naive.py` import neither the package nor `gen`.  A class reads JSON
+(`from_json`) only if `cli.py` calls that reader: the package reads JSON
+where the CLI does.  No module names `float`: no binary float may reach a
+coordinate, nor any output.
 """
 
 from __future__ import annotations
@@ -119,6 +122,16 @@ def test_only_fields_reads_integer_ratios(path):
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"]
     assert calls == [], f"{path.name}:{calls} reads integer ratios; use fields._exponent"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("fields.py", "spaces.py")],
+                         ids=lambda p: p.name)
+def test_only_fields_and_spaces_read_kept_exponents(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if "_abs_exponent" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                    getattr(node, "name", None))]
+    assert lines == [], f"{path.name}:{lines} names _abs_exponent; use spaces._difference_key"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
