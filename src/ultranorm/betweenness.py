@@ -14,6 +14,7 @@ trivially and are reported as between; callers need no case analysis.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (DEFAULT_ENUM_CAP, DimensionMismatchError, EnumerationTooLargeError,
                      InvalidInputError, require_type)
@@ -31,7 +32,10 @@ def is_metrically_between(x: Vector, z: Vector, y: Vector) -> bool:
     worth total * p**lo, are compared as integers over their smallest lo."""
     Vector._check(x, y)
     x._check(z)
-    if all(c is a or c is b for a, c, b in zip(x.coords, z.coords, y.coords)):
+    for a, c, b in zip(x.coords, z.coords, y.coords):
+        if c is not a and c is not b:
+            break
+    else:
         return True
     p = x.field._p
     keys = [_difference_key(u, v.coords, _ONE) for u, v in ((x, y), (x, z), (z, y))]
@@ -79,14 +83,16 @@ def segment(x: Vector, y: Vector, cap: int | None = None) -> SegmentEnumeration:
     """Enumerate the metric segment between x and y under the taxicab norm.
 
     Raises EnumerationTooLargeError when 2**k would exceed the cap (default
-    DEFAULT_ENUM_CAP).
+    DEFAULT_ENUM_CAP).  Every point is built from the endpoints' own
+    scalars, checked once by `Vector._check`, with no per-coordinate check.
     """
     Vector._check(x, y)
     choices = [(a,) if a == b else (a, b) for a, b in zip(x.coords, y.coords)]
     k = sum(len(c) - 1 for c in choices)
     EnumerationTooLargeError.check(2, k, DEFAULT_ENUM_CAP if cap is None else cap,
                                    f"k={k} differing coordinates")
-    points = (Vector(x.field, p[::-1]) for p in itertools.product(*choices[::-1]))
+    backwards = itertools.product(*choices[::-1])   # reversed: the first coordinate varies fastest
+    points = Vector._each(x.field, map(operator.itemgetter(slice(None, None, -1)), backwards))
     return SegmentEnumeration(x=x, y=y, k=k, points=tuple(points))
 
 

@@ -43,7 +43,9 @@ WSUP = "wsup"
 class Vector(_Immutable):
     """An n-tuple of scalars over a fixed field, n >= 1. Immutable; the raw
     values (each coordinate's `Scalar.value`, an int residue or a Fraction,
-    which `decompose` compares) are computed on first use and kept."""
+    which `decompose` compares) are computed on first use and kept.  The
+    constructor checks every coordinate; `segment` and `enumerate_space`
+    build their points with `_each` from scalars already checked."""
 
     __slots__ = ("field", "coords", "_raw")
 
@@ -59,6 +61,19 @@ class Vector(_Immutable):
                 raise FieldMismatchError(f"coordinate from {c.field} in {field} vector")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _each(cls, field: FieldSpec, tuples) -> list["Vector"]:
+        """One Vector per coordinate tuple, with no check: each tuple must be
+        a nonempty tuple of `field`'s own Scalars."""
+        new, put = object.__new__, object.__setattr__
+        points = []
+        for coords in tuples:
+            point = new(cls)
+            put(point, "field", field)
+            put(point, "coords", coords)
+            points.append(point)
+        return points
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -272,7 +287,7 @@ def enumerate_space(field: FieldSpec, n: int) -> list[Vector]:
     if n < 1:
         raise InvalidInputError(f"dimension n must be at least 1, got {n}")
     EnumerationTooLargeError.check(field.prime, n, DEFAULT_ENUM_CAP, f"F_{field.prime}^{n}")
-    return [Vector(field, coords) for coords in itertools.product(field.elements(), repeat=n)]
+    return Vector._each(field, itertools.product(field.elements(), repeat=n))
 
 
 def check_norm_axioms(spec: NormSpec, field: FieldSpec, samples) -> AxiomReport:

@@ -1,4 +1,5 @@
-"""Seeded test fixtures built on the package: random isometries and probe grids.
+"""Seeded test fixtures built on the package: random isometries and probe grids,
+and a check that a point behaves as one the `Vector` constructor built.
 
 Unlike `naive.py`, which imports nothing from the package, these generators
 build package objects (`TableMap`, `AffineMap`, `AxialIsometry`, `Vector`) and
@@ -7,9 +8,13 @@ draw through `ultranorm.sampling`, so a seed gives the same draws everywhere.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from ultranorm.errors import InvalidInputError
 from ultranorm.fields import GF, PADIC, FieldSpec
@@ -90,3 +95,17 @@ def probe_grid(field: FieldSpec, n: int, size: int) -> list[Vector]:
     if len(pool) < size:
         raise InvalidInputError(f"grid over {field} maxes out at {len(pool)} < {size} points")
     return pool[:size]
+
+
+def assert_like_a_constructed_vector(point: Vector, field: FieldSpec) -> None:
+    """`point` is a Vector that `Vector(field, point.coords)` would equal in
+    every observable way, as the points `segment` and `enumerate_space`
+    build with no per-coordinate check must be."""
+    assert type(point) is Vector and point.field is field and type(point.coords) is tuple
+    built = Vector(field, point.coords)
+    assert point == built and hash(point) == hash(built)
+    for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        assert copier(point) == point
+    with pytest.raises(AttributeError):
+        point.coords = built.coords
+    assert point._raw_values() == tuple(c.value for c in point.coords)

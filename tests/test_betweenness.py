@@ -22,8 +22,10 @@ from ultranorm import (
 )
 from ultranorm.sampling import random_vector
 
+from gen import assert_like_a_constructed_vector
 from naive import gf_one_dist, gf_space, gf_sup_dist, metric_between, segment_by_filter
 
+Q2 = FieldSpec.parse("padic:2")
 Q3 = FieldSpec.parse("padic:3")
 F2 = FieldSpec.parse("gf:2")
 F3 = FieldSpec.parse("gf:3")
@@ -156,7 +158,7 @@ def _counter_segment(x, y):
     return points
 
 
-@pytest.mark.parametrize("field", [Q3, F5, TQ], ids=str)
+@pytest.mark.parametrize("field", [Q3, Q2, F2, F5, TQ], ids=str)
 def test_segment_order_and_scalars_are_the_binary_counters(field):
     rng = random.Random(16)
     for n in range(1, 7):
@@ -172,6 +174,7 @@ def test_segment_order_and_scalars_are_the_binary_counters(field):
             assert len(seg.points) == len(expected) == 2 ** k
             for point, coords in zip(seg.points, expected):
                 assert all(a is b for a, b in zip(point.coords, coords))
+                assert_like_a_constructed_vector(point, field)
             if k:
                 with pytest.raises(EnumerationTooLargeError) as err:
                     segment(x, y, cap=2 ** (k - 1))

@@ -12,6 +12,9 @@ calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
 one integer kernel, `fields._exponent`.  Only `fields.py` and `spaces.py`
 name `_abs_exponent`: outside `fields.py` only the norm keys read a kept
 exponent, so the isosceles rule has one home, `spaces._difference_key`.
+Only `spaces.py` and `betweenness.py` name `Vector._each`, the builder that
+checks no coordinate: the CLI, the probe-file reader and `sampling` build
+every vector through the checking constructor.
 Every public function and class is used elsewhere in the package or
 exported: test-only helpers live in `tests/gen.py`, and the oracles in
 `tests/naive.py` import neither the package nor `gen`.  A class reads JSON
@@ -132,6 +135,17 @@ def test_only_fields_and_spaces_read_kept_exponents(path):
              if "_abs_exponent" in (getattr(node, "attr", None), getattr(node, "id", None),
                                     getattr(node, "name", None))]
     assert lines == [], f"{path.name}:{lines} names _abs_exponent; use spaces._difference_key"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("spaces.py", "betweenness.py")],
+                         ids=lambda p: p.name)
+def test_only_spaces_and_betweenness_build_unchecked_vectors(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if "_each" in (getattr(node, "attr", None), getattr(node, "id", None),
+                            getattr(node, "name", None))]
+    assert lines == [], f"{path.name}:{lines} names Vector._each; build through Vector(...)"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

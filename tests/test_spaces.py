@@ -21,6 +21,7 @@ from ultranorm import (
 )
 from ultranorm.sampling import norm_axiom_samples, random_scalar, random_vector
 
+from gen import assert_like_a_constructed_vector
 from naive import hamming, one_norm, padic_abs, sup_norm
 
 Q2 = FieldSpec.parse("padic:2")
@@ -287,8 +288,10 @@ def test_vectors_with_equal_raw_values_over_different_fields_differ(left, right)
 
 
 def test_enumerate_space_shares_the_fields_element_scalars():
-    pts = enumerate_space(F3, 2)
-    elements = {c.value: c for c in pts[-1].coords + pts[-2].coords + pts[-3].coords}
-    assert sorted(elements) == [0, 1, 2]
-    for p in pts:
-        assert all(c is elements[c.value] for c in p.coords)
+    elements = dict(zip((0, 1, 2), F3.elements()))
+    for n in (1, 2, 3):
+        pts = enumerate_space(F3, n)
+        assert len(pts) == 3 ** n
+        for p in pts:
+            assert all(c is elements[c.value] for c in p.coords)
+            assert_like_a_constructed_vector(p, F3)
