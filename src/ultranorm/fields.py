@@ -299,11 +299,17 @@ class Scalar(_Immutable):
         return f"Scalar({self.field}, {self.value})"
 
 
+# ord_p up to this is cheaper one division at a time than through `_order`'s powers.
+_SHORT_ORDER = 8
+
+
 def _exponent(a, b, p: int) -> int | None:
     """e with |a - b| = p**e for raw values of one field (`Scalar.value`s),
     p being the field's `_p`; None when a = b.  With a = an/ad and b = bn/bd
     in lowest terms, e = ord_p(ad*bd) - ord_p(an*bd - bn*ad) over padic:p,
-    from integers alone; e = 0 over gf:q and trivial:q (p = 1).
+    from integers alone; e = 0 over gf:q and trivial:q (p = 1).  Each side
+    strips p one division at a time up to `_SHORT_ORDER`, and the rest by
+    `_order`'s repeated squaring.
     """
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     num = an * bd - bn * ad
@@ -314,9 +320,32 @@ def _exponent(a, b, p: int) -> int | None:
     den, e = ad * bd, 0
     while den % p == 0:
         den, e = den // p, e + 1
+        if e == _SHORT_ORDER:
+            e += _order(den, p)
+            break
+    k = 0
     while num % p == 0:
-        num, e = num // p, e - 1
-    return e
+        num, k = num // p, k + 1
+        if k == _SHORT_ORDER:
+            k += _order(num, p)
+            break
+    return e - k
+
+
+def _order(v: int, p: int) -> int:
+    """ord_p(v) for a nonzero integer v: p, p**2, p**4, ... are divided out
+    while each division is exact, then the same powers in reverse, so
+    ord_p(v) = k takes O(log k) divisions, not k."""
+    powers, k = [p], 0
+    while v % powers[-1] == 0:
+        v //= powers[-1]
+        k += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if v % powers[i] == 0:
+            v //= powers[i]
+            k += 1 << i
+    return k
 
 
 def valuation(a: Scalar) -> Magnitude:

@@ -15,6 +15,7 @@ everything else fixed.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (
     WITNESS_LIMIT,
@@ -29,8 +30,8 @@ from .errors import (
     quoted,
     require_type,
 )
-from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, _exponent, valuation
-from .spaces import NormSpec, Vector, _difference_key, distance, norm
+from .fields import GF, PADIC, FieldSpec, Scalar, _Immutable, valuation
+from .spaces import NormSpec, Vector, _key_rows, distance, norm
 
 
 class AffineMap(_Immutable):
@@ -109,8 +110,11 @@ class TableMap(_Immutable):
                 if b is not a:
                     raise InvalidInputError(f"table not injective: {b} and {a} both map to {fa}")
         if fld.kind == PADIC:   # over gf:q and trivial:q, injective is metric-preserving
-            for (a, fa), (b, fb) in itertools.combinations(entries, 2):   # no Scalar per pair
-                if _exponent(a.value, b.value, fld._p) != _exponent(fa.value, fb.value, fld._p):
+            columns = [[a for a, _ in entries]], [[b for _, b in entries]]
+            for k, (keys, image_keys) in enumerate(_key_rows(columns, fld._p, NormSpec.one())):
+                if keys != image_keys:   # no Scalar per pair, only for the message
+                    j = k + 1 + list(map(operator.ne, keys, image_keys)).index(True)
+                    (a, fa), (b, fb) = entries[k], entries[j]
                     raise InvalidInputError(
                         f"table not metric-preserving: |{a}-{b}|={valuation(a - b)} "
                         f"but |{fa}-{fb}|={valuation(fa - fb)}")
@@ -474,31 +478,40 @@ class IsometryReport:
 def verify_isometry(m: ProbeMap, spec: NormSpec) -> IsometryReport:
     """Check distance preservation and injectivity over all probe pairs.
 
-    Each pair compares the exact keys of its two distances (integers under
-    the one and sup norms), and a pair whose images are equal is a
-    collision.  `distance` builds the Fractions of the kept witnesses only.
-    Violations are report content, never exceptions: all are counted, the
-    first WITNESS_LIMIT of each kind are kept.  When the probe map is
-    complete, surjectivity onto the finite space is checked as well.  The
-    points need no operand check here: `ProbeMap` refused any of another
-    class, field or dimension when it was built.
+    One probe at a time, the domain's row of integer keys to every later
+    probe (`spaces._key_rows`) is compared with the images' row as a list;
+    an entry that differs is a violation, and a 0 in the images' row, equal
+    images, is a collision.  Pairs come in `itertools.combinations` order.
+    `distance` builds the Fractions of the kept witnesses only.  Violations
+    are report content, never exceptions: all are counted, the first
+    WITNESS_LIMIT of each kind are kept.  When the probe map is complete,
+    surjectivity onto the finite space is checked as well.  The points need
+    no operand check here: `ProbeMap` refused any of another class, field or
+    dimension when it was built.
     """
     require_type("probe map", m, ProbeMap)
     require_type("norm", spec, NormSpec)
-    report = IsometryReport(norm=str(spec), probes=len(m.domain))
-    for (x, fx), (y, fy) in itertools.combinations(zip(m.domain, m.images), 2):
-        domain = _difference_key(x, y.coords, spec)
-        image = _difference_key(fx, fy.coords, spec)
+    probes = len(m.domain)
+    report = IsometryReport(norm=str(spec), probes=probes)
+    sides = [list(zip(*(v.coords for v in points))) for points in (m.domain, m.images)]
+    for k, (domain, image) in enumerate(_key_rows(sides, m.field._p, spec)):
+        x, fx = m.domain[k], m.images[k]
         if domain != image:
-            report.violation_count += 1
-            if len(report.distance_violations) < WITNESS_LIMIT:
+            broken = list(map(operator.ne, domain, image))
+            report.violation_count += broken.count(True)
+            room = WITNESS_LIMIT - len(report.distance_violations)
+            for j in itertools.islice(itertools.compress(range(k + 1, probes), broken), room):
+                y, fy = m.domain[j], m.images[j]
                 report.distance_violations.append(
                     {"x": str(x), "y": str(y), "domain_distance": str(distance(x, y, spec)),
                      "image_distance": str(distance(fx, fy, spec))})
-        if image is None:
-            report.collision_count += 1
-            if len(report.collisions) < WITNESS_LIMIT:
-                report.collisions.append({"x": str(x), "y": str(y), "image": str(fx)})
+        collided = image.count(0)
+        if collided:
+            report.collision_count += collided
+            room = WITNESS_LIMIT - len(report.collisions)
+            for j in itertools.islice(itertools.compress(
+                    range(k + 1, probes), map(operator.not_, image)), room):
+                report.collisions.append({"x": str(x), "y": str(m.domain[j]), "image": str(fx)})
     if m.complete:
         # q^n distinct probes whose images lie in F_q^n: onto iff one-to-one
         report.surjective = report.injective

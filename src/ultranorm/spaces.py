@@ -10,16 +10,22 @@ Every norm is read off the exponents e_i, |x_i - y_i| = p**e_i, and reduced
 to an exact key that is equal exactly when the norms are
 (`_difference_key`).  Each scalar keeps its own exponent, and
 |x_i - y_i| = max(|x_i|, |y_i|) whenever |x_i| != |y_i| (the isosceles
-property), so only coordinates of equal |.| go through the integer formula
-of `fields._exponent`: over gf:q and trivial:q, pairs of nonzero values.
-`distance` and `norm` build one Fraction per result from the key; callers
-that only compare norms compare keys and build none, as
-`is_metrically_between` does with its three one-norm keys.
+property, `_pair_exponent`), so only coordinates of equal |.| go through the
+integer formula of `fields._exponent`: over gf:q and trivial:q, pairs of
+nonzero values.  `distance` and `norm` build one Fraction per result from
+the key; callers that only compare norms compare keys and build none, as
+`is_metrically_between` does with its three one-norm keys.  `_key_rows`
+gives the keys of every pair of a point set as integer rows, one row per
+point and one exponent per distinct coordinate value after it, for
+`verify_isometry` and `TableMap`'s metric check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -222,12 +228,21 @@ def distance(x: Vector, y: Vector, spec: NormSpec) -> Magnitude:
     return _key_value(_difference_key(x, y.coords, spec), x.field._p, spec)
 
 
+def _pair_exponent(a, ea, b, eb, p: int) -> int | None:
+    """e with |a - b| = p**e for raw values a and b of one field whose kept
+    exponents (`Scalar._abs_exponent`, None at zero) are ea and eb; None when
+    a = b.  Where ea != eb, e is the larger one (the isosceles property), over
+    every field: over gf:q and trivial:q they are 0 or None, so only two
+    nonzero values reach `_exponent`.  The norm keys and `_key_rows` read
+    every exponent of a difference here."""
+    if ea != eb:
+        return eb if ea is None else ea if eb is None or ea > eb else eb
+    return None if ea is None else _exponent(a, b, p)
+
+
 def _difference_key(x: Vector, ys, spec: NormSpec):
-    """An exact key of ||x - y|| from the exponents e_i = `_exponent(x_i, y_i)`,
-    equal exactly when the norms are; None when x = y.  Where the kept
-    exponents of x_i and y_i differ, e_i is the larger one, over every field:
-    over gf:q and trivial:q they are 0 or None, so only two nonzero
-    coordinates reach `_exponent`.
+    """An exact key of ||x - y|| from the exponents e_i = `_pair_exponent` of
+    x_i and y_i, equal exactly when the norms are; None when x = y.
 
     The one-norm's key is (total, lo), worth total * p**lo, with p not
     dividing total when p > 1; the sup norm's is the largest e; the
@@ -240,10 +255,7 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     exps = {}   # coordinate index -> e, where a != b
     for i, (a, b) in enumerate(zip(x.coords, ys)):
         if a is not b:   # enumerated points share field.elements(), apply plans their images
-            if (ea := a._abs_exponent()) != (eb := b._abs_exponent()):
-                e = eb if ea is None else ea if eb is None else max(ea, eb)   # isosceles
-            else:
-                e = None if ea is None else _exponent(a.value, b.value, p)
+            e = _pair_exponent(a.value, a._abs_exponent(), b.value, b._abs_exponent(), p)
             if e is not None:
                 exps[i] = e
     if not exps:
@@ -258,6 +270,70 @@ def _difference_key(x: Vector, ys, spec: NormSpec):
     if spec.kind == SUP:
         return max(exps.values())
     return max(spec.weights[i] * Fraction(p) ** e for i, e in exps.items())
+
+
+def _key_rows(sides, p: int, spec: NormSpec):
+    """Row by row, integer keys of the pairwise norms of point sets (sides) of
+    one size N and dimension n, each given as its n columns of `Scalar`s.
+
+    Row k < N - 1 holds one list per side whose entry j - k - 1 stands for
+    ||x_k - x_j||, j > k: the sides' entries compare as their norms do, and
+    an entry is 0 exactly when the points are equal.  A coordinate's points
+    fall into classes of equal raw value, and row k reads `_pair_exponent`
+    once per class occurring after k.  Each e becomes w * p**(e - lo), with
+    lo the least e of the row on every side and w 1, or under wsup the
+    weight times the weights' common denominator; a C-level `map` spreads it
+    to the class's points, and the coordinates add under the one-norm and
+    take the larger under sup and wsup.  Memory is O(N * n).  A wsup weight
+    count other than n is refused once there is a pair.
+    """
+    n, size = len(sides[0]), len(sides[0][0])
+    if size < 2:
+        return
+    if spec.kind == WSUP:
+        if len(spec.weights) != n:
+            raise DimensionMismatchError(f"{len(spec.weights)} weights for dimension {n}")
+        scale = math.lcm(*(w.denominator for w in spec.weights))
+        weights = [w.numerator * (scale // w.denominator) for w in spec.weights]
+    else:
+        weights = [1] * n
+    combine = operator.add if spec.kind == ONE else max
+    coordinates = []   # per side, per coordinate: what row k reads of its classes
+    for columns in sides:
+        coordinates.append(side := [])
+        for column, weight in zip(columns, weights):
+            index = {}   # raw value -> class
+            classes = [index.setdefault(c.value, len(index)) for c in column]
+            last = {b: j for j, b in enumerate(classes)}   # each class's last position
+            order = sorted(last, key=last.__getitem__)   # so the classes after k are a suffix
+            rank = dict(zip(order, range(len(order))))
+            reps = [column[last[b]] for b in order]
+            side.append(([rank[b] for b in classes], [last[b] for b in order],
+                         [c.value for c in reps], [c._abs_exponent() for c in reps], weight))
+    ps = itertools.repeat(p)
+    for k in range(size - 1):
+        found = []   # per side and coordinate: where the classes after k start, and the e
+        for side in coordinates:   # of each of them against x_k's class, that one left out
+            for ranks, lasts, values, exps, _ in side:
+                start, r = bisect.bisect_right(lasts, k), ranks[k]
+                vs, es = values[start:], exps[start:]
+                if r >= start:
+                    del vs[r - start], es[r - start]
+                found.append((start, list(map(_pair_exponent, itertools.repeat(values[r]),
+                                              itertools.repeat(exps[r]), vs, es, ps))))
+        lo = min([min(es) for _, es in found if es], default=0)
+        rows, parts = [], iter(found)
+        for side in coordinates:
+            row = None
+            for (ranks, _, _, _, weight), (start, es) in zip(side, parts):
+                keys = [0] * start   # the classes that end by k, never read
+                keys += [weight * p ** (e - lo) for e in es]
+                if ranks[k] >= start:
+                    keys.insert(ranks[k], 0)
+                column = map(keys.__getitem__, ranks[k + 1:])
+                row = column if row is None else map(combine, row, column)
+            rows.append(list(row))
+        yield rows
 
 
 def _key_value(key, p: int, spec: NormSpec) -> Magnitude:

@@ -7,7 +7,8 @@ and `naive.trivial_abs` on seeded vectors that mix both cases, zeros and
 scalars shared by both operands.  `is_metrically_between` answers True
 with no exponent read for a z made of its endpoints' own scalars, and
 otherwise compares the three one-norm keys as integers; it is held to the
-`Fraction` sum of the three distances.
+`Fraction` sum of the three distances.  The kernel strips p by repeated
+squaring, so exponents in the thousands come out exact and fast.
 """
 
 from __future__ import annotations
@@ -199,3 +200,19 @@ def test_betweenness_makes_no_distance_call(monkeypatch):
     for z in (x, y, Vector.make(field, [0, "1/3"]), Vector.make(field, [9, 9])):
         is_metrically_between(x, z, y)
     assert calls == []
+
+
+@pytest.mark.parametrize("value, p, e", [
+    (Fraction(3 * 2 ** 28500), 2, -28500),
+    (Fraction(5 ** 5000, 3), 5, -5000),
+    (Fraction(7, 3 ** 6000), 3, 6000),
+], ids=["2^28500", "5^5000/3", "3^-6000"])
+def test_an_exponent_in_the_thousands_is_exact(value, p, e):
+    field = FieldSpec.padic(p)
+    assert _exponent(value, 0, p) == e
+    assert _exponent(value + 1, 1, p) == e           # one a difference
+    assert _exponent(value, value * (1 + p), p) == e - 1   # |v - v (1 + p)| = |v p|
+    assert _exponent(value * p ** 8, 0, p) == e - 8   # the strip's short loop just full
+    assert Scalar(field, value)._abs_exponent() == e
+    x, y = Vector.make(field, [value, 1]), Vector.make(field, [0, 1 + p])
+    assert distance(x, y, ONE) == Fraction(p) ** e + Fraction(1, p)

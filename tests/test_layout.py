@@ -10,8 +10,9 @@ one clock.  Only `__main__.py` runs the CLI when executed: `python -m ultranorm`
 and the `ultranorm` console script are its two ways in.  Only `fields.py`
 calls `as_integer_ratio`: every exponent of |a - b| = p**e comes from its
 one integer kernel, `fields._exponent`.  Only `fields.py` and `spaces.py`
-name `_abs_exponent`: outside `fields.py` only the norm keys read a kept
-exponent, so the isosceles rule has one home, `spaces._difference_key`.
+name `_abs_exponent` or the kernel `_exponent`: outside `fields.py` only
+`spaces._pair_exponent` reads an exponent of a difference, for the norm keys
+and for `spaces._key_rows`, so the isosceles rule has one home.
 Only `spaces.py` and `betweenness.py` name `Vector._each`, the builder that
 checks no coordinate: the CLI, the probe-file reader and `sampling` build
 every vector through the checking constructor.
@@ -134,7 +135,17 @@ def test_only_fields_and_spaces_read_kept_exponents(path):
     lines = [node.lineno for node in ast.walk(tree)
              if "_abs_exponent" in (getattr(node, "attr", None), getattr(node, "id", None),
                                     getattr(node, "name", None))]
-    assert lines == [], f"{path.name}:{lines} names _abs_exponent; use spaces._difference_key"
+    assert lines == [], f"{path.name}:{lines} names _abs_exponent; use spaces._pair_exponent"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("fields.py", "spaces.py")],
+                         ids=lambda p: p.name)
+def test_only_fields_and_spaces_name_the_exponent_kernel(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if "_exponent" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                getattr(node, "name", None))]
+    assert lines == [], f"{path.name}:{lines} names _exponent; use spaces._key_rows or a norm"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES
